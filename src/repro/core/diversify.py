@@ -11,8 +11,10 @@ The general path compiles the network **directly into an array plan**
 (:mod:`repro.core.compile`) — byte-identical to the classic
 ``build_mrf`` + ``MRFArrays`` pipeline but without materialising per-edge
 Python objects, which is what keeps cold plan builds off the critical path
-of the 1000-6000-host sweeps.  ``compile="python"`` forces the classic
-object pipeline (solvers without a plan-level API always use it).
+of the 1000-6000-host sweeps.  Solvers without a plan-level API (``icm``,
+``exact``, ``anneal``, the ``*-ref``/``*-sharded`` wrappers and
+``trws-dual`` by name) take the object pipeline: ``build_mrf`` then the
+registered solver's ``solve(mrf)``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.compile import CompiledPlan, compile_plan
 from repro.core.costs import MRFBuild, build_mrf
+from repro.mrf.partition import _component_of
 from repro.mrf.solvers import SolverResult, get_solver
-from repro.mrf.vectorized import MRFArrays
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet, ConstraintViolation
 from repro.network.model import Network
@@ -57,8 +61,8 @@ class DiversificationResult:
             (link, shared-service) pairs; 0.0 means perfectly diversified.
         solver_result: raw solver output (traces, iterations, ...).
         build: the MRF build (variable mapping), for advanced inspection;
-            None unless the Python object pipeline ran
-            (``compile="python"``, or a solver without a plan-level API).
+            None unless the Python object pipeline ran (a solver without
+            a plan-level API).
         plan: the compiled array plan + variable mapping when the direct
             compiler path ran; None on the Python and fast paths.
     """
@@ -106,7 +110,6 @@ def diversify(
     fast_path: bool = True,
     shards: Optional[Union[int, str]] = None,
     zones: Optional[ZonedNetwork] = None,
-    compile: str = "direct",
     **solver_options,
 ) -> DiversificationResult:
     """Compute the (constrained) optimal diversification of a network.
@@ -123,9 +126,20 @@ def diversify(
         service_weights: per-service criticality multipliers of the
             similarity penalty (see :func:`repro.core.costs.build_mrf`).
         fast_path: allow the batched replicated-service TRW-S when the
-            instance qualifies (uniform services, no constraints); the
-            labelling rule and costs are identical, only the data layout
-            differs.  Set False to force the general per-variable MRF.
+            instance qualifies (uniform services, no constraints, a host
+            graph with a cycle — forests take the plan path, whose exact
+            forest DP certifies them).  The cost model and the update rule
+            match the plan path; label-for-label parity is asserted only
+            on the small instances of ``tests/test_batched.py``.  At
+            paper scale the two paths diverge: on the Table VII
+            mid-density cell (1000 hosts, 15 services, seed 0) the
+            batched path reaches E = 21349.29 and the plan path 21396.55.
+            The fast path is kept for its measured memory and NumPy-host
+            time on that cell (2-vCPU host): 89 MB peak RSS against
+            207 MB, and about 2.0 s against 3.9–4.3 s per call on the
+            NumPy kernel backend (with the native backend the plan path
+            is faster, 1.3–1.4 s against 1.8–1.9 s).  Set False to force
+            the general per-variable MRF.
         shards: route the solve through the component partition
             (:class:`~repro.mrf.sharded.ShardedSolver`), solving shards
             concurrently with this many workers (``-1`` = one per CPU,
@@ -145,12 +159,6 @@ def diversify(
             solvers ignore it.
         zones: the :class:`~repro.network.zones.ZonedNetwork` backing
             ``shards="zones"`` (required then, unused otherwise).
-        compile: ``"direct"`` (default) compiles the network straight into
-            an array plan; ``"python"`` keeps the classic
-            ``build_mrf`` → ``MRFArrays`` object pipeline.  The two
-            produce byte-identical plans (asserted in
-            ``tests/test_compile.py``); solvers without a plan-level API
-            always take the Python pipeline.
         **solver_options: forwarded to the solver constructor
             (e.g. ``max_iterations=50``).
 
@@ -161,19 +169,18 @@ def diversify(
     >>> from repro.nvd import SimilarityTable
     >>> net = chain_network(3)
     >>> table = SimilarityTable(products=["p0", "p1"])
-    >>> result = diversify(net, table, fast_path=False)
+    >>> result = diversify(net, table)
     >>> result.certified_optimal
     True
     >>> round(result.energy, 2)
     0.03
     """
-    if compile not in ("direct", "python"):
-        raise ValueError(
-            f"compile must be 'direct' or 'python', got {compile!r}"
-        )
     if shards == "zones" and zones is None:
         raise ValueError("shards='zones' needs a ZonedNetwork via zones=")
     constraint_set = constraints or ConstraintSet()
+    build: Optional[MRFBuild] = None
+    compiled: Optional[CompiledPlan] = None
+    fast = None
     if (
         fast_path
         and solver == "trws"
@@ -181,8 +188,9 @@ def diversify(
         and not constraint_set
         and not preferences
         and not service_weights
+        and not _is_host_forest(network)
     ):
-        fast_result = _diversify_replicated(
+        fast = _diversify_replicated(
             network,
             similarity,
             unary_constant=unary_constant,
@@ -190,12 +198,9 @@ def diversify(
             shards=shards,
             **solver_options,
         )
-        if fast_result is not None:
-            return fast_result
-
-    build: Optional[MRFBuild] = None
-    compiled: Optional[CompiledPlan] = None
-    if compile == "direct" and solver in _PLAN_SOLVERS:
+    if fast is not None:
+        assignment, solver_result = fast
+    elif solver in _PLAN_SOLVERS:
         compiled = compile_plan(
             network,
             similarity,
@@ -221,31 +226,7 @@ def diversify(
             preferences=preferences,
             service_weights=service_weights,
         )
-        if shards and solver in _PLAN_SOLVERS:
-            from repro.mrf.partition import split_components, zone_groups
-            from repro.mrf.sharded import ShardedSolver
-
-            if shards == "cut":
-                from repro.mrf.dual import DualDecompositionSolver
-
-                solver_result = DualDecompositionSolver(
-                    solver=solver, **solver_options
-                ).solve(build.mrf)
-            elif shards == "zones":
-                plan = MRFArrays(build.mrf)
-                partition = split_components(
-                    plan, groups=zone_groups(build.variables, zones)
-                )
-                solver_result = ShardedSolver(
-                    solver=solver, workers=-1, **solver_options
-                ).solve_arrays(plan, partition=partition)
-            else:
-                solver_result = ShardedSolver(
-                    solver=solver, workers=shards, **solver_options
-                ).solve(build.mrf)
-        else:
-            solver_instance = get_solver(solver, **solver_options)
-            solver_result = solver_instance.solve(build.mrf)
+        solver_result = get_solver(solver, **solver_options).solve(build.mrf)
         assignment = build.labels_to_assignment(network, solver_result.labels)
 
     violations = constraint_set.violations(assignment, network)
@@ -276,9 +257,9 @@ def _solve_compiled(
 ) -> SolverResult:
     """Solve a compiled plan — monolithic, shard-count, zone- or cut-sharded.
 
-    The monolithic dispatch (forest DP for cold TRW-S forests, greedy
-    refine init otherwise) mirrors ``TRWSSolver.solve`` on the equivalent
-    MRF, so compiled and Python-built solves return identical labellings.
+    The single shard-strategy seam of :func:`diversify`; every branch ends
+    in the plan dispatcher (forest DP for cold TRW-S forests, greedy
+    refine init otherwise) that ``TRWSSolver.solve`` also runs.
     """
     from repro.mrf.sharded import ShardedSolver, solve_plan
 
@@ -311,7 +292,7 @@ def _diversify_replicated(
     pairwise_weight: float,
     shards: Optional[int] = None,
     **solver_options,
-) -> Optional[DiversificationResult]:
+) -> Optional[Tuple[ProductAssignment, SolverResult]]:
     """The batched replicated-service fast path; None when ineligible."""
     from repro.mrf.batched import (
         BatchedTRWSSolver,
@@ -341,9 +322,6 @@ def _diversify_replicated(
             assignment.assign(
                 host, service, problem.products[k][batched.labels[position, k]]
             )
-
-    similarity_total, coupled_edges = _edge_similarity(network, similarity, assignment)
-    mean_similarity = similarity_total / coupled_edges if coupled_edges else 0.0
     solver_result = SolverResult(
         labels=[int(x) for x in batched.labels.reshape(-1)],
         energy=batched.energy,
@@ -352,18 +330,29 @@ def _diversify_replicated(
         converged=batched.converged,
         solver=BatchedTRWSSolver.name,
     )
-    return DiversificationResult(
-        assignment=assignment,
-        energy=batched.energy,
-        lower_bound=batched.lower_bound,
-        certified_optimal=solver_result.is_certified_optimal(tolerance=1e-6),
-        satisfied=True,
-        violations=[],
-        similarity_total=similarity_total,
-        mean_edge_similarity=mean_similarity,
-        solver_result=solver_result,
-        build=None,
+    return assignment, solver_result
+
+
+def _is_host_forest(network: Network) -> bool:
+    """True when the host graph is cycle-free (``links == hosts − components``).
+
+    The link-count test rejects any graph with at least as many links as
+    hosts before the component scan, so dense networks pay nothing.
+    """
+    count = network.edge_count()
+    if count == 0:
+        return True
+    if count >= len(network):
+        return False
+    hosts = network.hosts
+    links = network.links
+    index = {host: i for i, host in enumerate(hosts)}
+    component = _component_of(
+        len(hosts),
+        np.array([index[a] for a, _b in links]),
+        np.array([index[b] for _a, b in links]),
     )
+    return len(links) == len(hosts) - (int(component.max()) + 1)
 
 
 def _edge_similarity(

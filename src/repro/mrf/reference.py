@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.mrf.graph import PairwiseMRF
 from repro.mrf.solvers import SolverResult
-from repro.mrf.trws import _is_forest, _solve_forest
+from repro.mrf.sharded import _is_forest_plan, _solve_forest_arrays
+from repro.mrf.vectorized import MRFArrays
 
 __all__ = ["ReferenceTRWSSolver", "ReferenceBPSolver"]
 
@@ -92,12 +93,15 @@ class ReferenceTRWSSolver:
                 labels=[], energy=0.0, lower_bound=0.0, iterations=0,
                 converged=True, solver=self.name,
             )
-        if _is_forest(mrf):
-            labels = _solve_forest(mrf)
-            energy = mrf.energy(labels)
+        plan = MRFArrays(mrf)
+        if _is_forest_plan(plan):
+            # The production forest rule, DP and energy (TRWSSolver's).
+            forest = _solve_forest_arrays(plan)
+            energy = plan.energy(forest)
             return SolverResult(
-                labels=labels, energy=energy, lower_bound=energy,
-                iterations=1, converged=True, solver=self.name,
+                labels=[int(x) for x in forest], energy=energy,
+                lower_bound=energy, iterations=1, converged=True,
+                solver=self.name,
                 energy_trace=[energy], bound_trace=[energy],
             )
 

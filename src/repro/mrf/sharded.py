@@ -16,8 +16,10 @@ iteration count — while shard solves stop individually, and the ICM refine
 stage confines its sweeps to the component it is polishing.  Forest shards
 skip message passing entirely: TRW-S is exact on trees, and the per-shard
 dispatch realises that guarantee with one min-sum dynamic program over the
-shard arrays (the plan-level analogue of ``TRWSSolver.solve``'s forest
-path, which a monolithic ``solve_arrays`` over a mixed plan cannot take).
+shard arrays (which a monolithic ``solve_arrays`` over a mixed plan cannot
+take).  That dispatch, :func:`_solve_plan`, is the only code that chooses
+how a plan is solved: ``TRWSSolver.solve``, :func:`solve_plan`, the
+shards, ``trws-dual`` and the streaming engine all call it.
 
 Execution backends (``executor=``):
 
@@ -396,8 +398,8 @@ def solve_plan(
     The public plan-level entry point (used by the compiled
     :func:`~repro.core.diversify.diversify` path): forest plans take the
     exact min-sum DP, loopy plans run the configured message-passing
-    solver with the degree-descending greedy refine init — exactly the
-    dispatch of ``TRWSSolver.solve`` on the equivalent ``PairwiseMRF``.
+    solver with the degree-descending greedy refine init — the dispatch
+    ``TRWSSolver.solve`` also runs on the equivalent ``PairwiseMRF``.
 
     A two-node plan with an agreement penalty solves to disagreeing
     labels at zero energy (one edge, no cycle — the exact forest DP):
@@ -441,13 +443,15 @@ def _solve_plan(
     greedy: bool,
     scratch: Optional[SolverScratch] = None,
 ) -> SolverResult:
-    """Solve one shard plan — the shared core of every execution backend.
+    """Solve one plan — the single solve dispatcher.
 
-    Cold TRW-S shards whose graph is a forest dispatch to the exact
-    min-sum DP (deterministic, certified, non-iterative); everything else
-    runs the configured message-passing solver.  Warm starts (``messages``
-    given) always take the message-passing path so the caller keeps a
-    reusable fixed-point state.
+    Cold TRW-S plans whose graph is a forest (the empty plan included)
+    dispatch to the exact min-sum DP (deterministic, certified,
+    non-iterative); everything else runs the configured message-passing
+    solver, with the degree-descending greedy labelling appended to
+    ``inits`` when ``greedy`` is set.  Warm starts (``messages`` given)
+    always take the message-passing path so the caller keeps a reusable
+    fixed-point state.
     """
     if (
         solver_name == "trws"
@@ -504,11 +508,10 @@ def _is_forest_plan(plan: MRFArrays) -> bool:
 def _solve_forest_arrays(plan: MRFArrays) -> np.ndarray:
     """Exact min-sum dynamic programming on a forest plan.
 
-    The array-level analogue of the forest dispatch in
-    ``TRWSSolver.solve``: each component is rooted at its smallest node,
-    min-marginal messages flow leaves → root, and an argmin backtrack
-    assigns labels.  The ``+inf`` padding convention keeps every reduction
-    exact (padded labels never win an argmin).
+    Each component is rooted at its smallest node, min-marginal messages
+    flow leaves → root, and an argmin backtrack assigns labels.  The
+    ``+inf`` padding convention keeps every reduction exact (padded labels
+    never win an argmin).
     """
     n = plan.node_count
     adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]

@@ -37,7 +37,7 @@ magnitude faster (see ``benchmarks/bench_vectorized_speedup.py``).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -112,30 +112,26 @@ class TRWSSolver:
     def solve(self, mrf: PairwiseMRF) -> SolverResult:
         """Run TRW-S and return the best labelling found plus the dual bound.
 
-        Forests are dispatched to an exact min-sum dynamic program (TRW-S is
-        exact on trees; the DP realises that guarantee directly and returns
-        a tight bound).  Loopy graphs run the iterative message passing.
+        Builds the array plan and hands it to the plan dispatcher
+        (:func:`repro.mrf.sharded._solve_plan`): forests take the exact
+        min-sum DP (TRW-S is exact on trees; the DP realises that guarantee
+        directly and returns a tight bound), loopy graphs run the iterative
+        message passing with the greedy refine init.
         """
-        n = mrf.node_count
-        if n == 0:
-            return SolverResult(
-                labels=[], energy=0.0, lower_bound=0.0, iterations=0,
-                converged=True, solver=self.name,
-            )
-        if _is_forest(mrf):
-            labels = _solve_forest(mrf)
-            energy = mrf.energy(labels)
-            return SolverResult(
-                labels=labels, energy=energy, lower_bound=energy,
-                iterations=1, converged=True, solver=self.name,
-                energy_trace=[energy], bound_trace=[energy],
-            )
+        from repro.mrf.sharded import _solve_plan
 
-        plan = MRFArrays(mrf)
-        extra_inits = ()
-        if self.refine:  # the greedy labelling only feeds the refine stage
-            extra_inits = (plan.greedy_labels(),)
-        return self.solve_arrays(plan, extra_inits=extra_inits)
+        options = dict(
+            max_iterations=self.max_iterations,
+            tolerance=self.tolerance,
+            compute_bound=self.compute_bound,
+            refine=self.refine,
+            backend=self.backend,
+            tie_break_noise=self.tie_break_noise,
+        )
+        return _solve_plan(
+            MRFArrays(mrf), "trws", options, self.seed, None, (), True,
+            self.refine,
+        )
 
     def solve_arrays(
         self,
@@ -452,72 +448,3 @@ class TRWSSolver:
                 start = time.perf_counter()
                 kernels.send_block(plan, block, messages, beliefs, scratch)
                 level_seconds[index] += time.perf_counter() - start
-
-
-def _is_forest(mrf: PairwiseMRF) -> bool:
-    """True when the MRF graph contains no cycle (per-component check)."""
-    components = mrf.connected_components()
-    node_component = {}
-    for index, component in enumerate(components):
-        for node in component:
-            node_component[node] = index
-    edge_counts = [0] * len(components)
-    for edge_id in range(mrf.edge_count):
-        i, _ = mrf.edge(edge_id)
-        edge_counts[node_component[i]] += 1
-    return all(
-        edge_counts[index] == len(component) - 1
-        for index, component in enumerate(components)
-    )
-
-
-def _solve_forest(mrf: PairwiseMRF) -> List[int]:
-    """Exact min-sum dynamic programming on a forest.
-
-    Each component is rooted at its smallest node; messages flow leaves →
-    root carrying min-marginals, then an argmin backtrack assigns labels.
-    """
-    labels = [-1] * mrf.node_count
-    visited = [False] * mrf.node_count
-    for root in range(mrf.node_count):
-        if visited[root]:
-            continue
-        # Build a DFS order of the component rooted at `root`.
-        order: List[Tuple[int, int]] = []  # (node, parent)
-        stack = [(root, -1)]
-        visited[root] = True
-        while stack:
-            node, parent = stack.pop()
-            order.append((node, parent))
-            for neighbor, _ in mrf.neighbors(node):
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    stack.append((neighbor, node))
-
-        # Upward sweep (children before parents = reversed DFS order).
-        upward: dict = {}   # node -> message vector added to its parent
-        choice: dict = {}   # node -> argmin table over parent labels
-        accumulated = {node: mrf.unary(node).copy() for node, _ in order}
-        for node, parent in reversed(order):
-            if parent < 0:
-                continue
-            edge_id = mrf.edge_id(parent, node)
-            first, _second = mrf.edge(edge_id)
-            cost = mrf.edge_cost(edge_id)
-            oriented = cost if first == parent else cost.T  # rows = parent
-            totals = oriented + accumulated[node][None, :]
-            choice[node] = np.argmin(totals, axis=1)
-            upward[node] = totals.min(axis=1)
-            accumulated[parent] += upward[node]
-
-        # Downward argmin backtrack.
-        labels[root] = int(np.argmin(accumulated[root]))
-        for node, parent in order:
-            if parent >= 0:
-                labels[node] = int(choice[node][labels[parent]])
-    return labels
-
-
-# The degree-descending greedy init lives on the plan now
-# (:meth:`MRFArrays.greedy_labels`) so the monolithic solve, the sharded
-# solver and the streaming engine all share one implementation.

@@ -48,31 +48,24 @@ a universal guarantee.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.mrf.bp import LoopyBPSolver
-from repro.mrf.partition import Shard, merge_shard_results, split_parts
+from repro.mrf.partition import merge_shard_results, split_parts
+from repro.mrf.sharded import _solve_plan
 from repro.mrf.solvers import SolverResult
-from repro.mrf.trws import TRWSSolver
-from repro.mrf.vectorized import SolverScratch, SolverScratchPool
+from repro.mrf.vectorized import MRFArrays, SolverScratch
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet
 from repro.network.model import Network
 from repro.nvd.similarity import SimilarityTable
-from repro.runner import Job, resolve_workers, run_jobs
 from repro.stream.events import Event
 from repro.stream.plan import StreamPlan
 
 __all__ = ["StreamSolveResult", "DynamicDiversifier"]
-
-#: Per-process workspace of :func:`_stream_shard_job` — pool workers are
-#: single-threaded, so one scratch per worker is reused across jobs.
-_STREAM_JOB_SCRATCH: Optional[SolverScratch] = None
 
 
 @dataclass
@@ -185,31 +178,8 @@ class DynamicDiversifier:
             basins), so on hard instances they can land in different
             local optima and the stability metric may differ; cross-mode
             energy equality is a property of the workload, exactly like
-            the warm/cold contract above.
-        shard_workers: concurrent dirty-shard solves (``None``/1 serial,
-            ``-1`` one thread per CPU); dirty shards are independent, so
-            the fan-out never changes results.
-        shard_process_nodes: dirty shards at or above this node count are
-            solved as :mod:`repro.runner` *process* jobs instead of
-            in-process threads — the same solve, byte-identically (same
-            plan rebuild, solver options, warm messages, inits and ICM
-            polish), so results never depend on where a shard ran; only
-            huge dirty components pay the pickling toll, and only when
-            they would otherwise serialise behind the GIL-bound parent.
-            ``None`` (default) keeps every dirty shard in-process.
-        dual_shard_nodes: opt-in dual decomposition for *giant* dirty
-            components (``"trws"`` only): a dirty shard at or above this
-            node count is re-solved cold by
-            :class:`~repro.mrf.dual.DualDecompositionSolver` across a
-            balanced edge cut instead of one warm monolithic shard run.
-            The shard's parent message slice is left untouched (the dual
-            loop owns its own boundary state), clean shards stay
-            byte-identical, and the shard's cached bound is the dual
-            loop's certified bound.  ``None`` (default) disables.
-        dual_options: constructor options of the per-shard
-            :class:`~repro.mrf.dual.DualDecompositionSolver` (``parts``,
-            ``max_rounds``, ``gap_tolerance``, ``executor``, ...) when
-            ``dual_shard_nodes`` triggers.
+            the warm/cold contract above.  Dirty shards solve one after
+            another, all with the engine's solver seed.
         **solver_options: forwarded to the solver constructor.
     """
 
@@ -227,25 +197,11 @@ class DynamicDiversifier:
         service_weights: Optional[Mapping[str, float]] = None,
         constraints: Optional[ConstraintSet] = None,
         sharded: bool = False,
-        shard_workers: Optional[int] = None,
-        shard_process_nodes: Optional[int] = None,
-        dual_shard_nodes: Optional[int] = None,
-        dual_options: Optional[Mapping] = None,
         **solver_options,
     ) -> None:
         if warm_iterations < 1:
             raise ValueError("warm_iterations must be >= 1")
-        if solver == "trws":
-            self._solver = TRWSSolver(**solver_options)
-            self._warm_solver = TRWSSolver(
-                **{**solver_options, "max_iterations": warm_iterations}
-            )
-        elif solver == "bp":
-            self._solver = LoopyBPSolver(**solver_options)
-            self._warm_solver = LoopyBPSolver(
-                **{**solver_options, "max_iterations": warm_iterations}
-            )
-        else:
+        if solver not in ("trws", "bp"):
             raise ValueError(
                 f"streaming supports solvers 'trws' and 'bp', got {solver!r}"
             )
@@ -257,27 +213,17 @@ class DynamicDiversifier:
         self.warm_start = warm_start
         self.rebuild_fraction = rebuild_fraction
         self.cost_jump_threshold = cost_jump_threshold
-        if shard_process_nodes is not None and shard_process_nodes < 1:
-            raise ValueError("shard_process_nodes must be >= 1")
-        if dual_shard_nodes is not None and dual_shard_nodes < 1:
-            raise ValueError("dual_shard_nodes must be >= 1")
-        if dual_shard_nodes is not None and solver != "trws":
-            raise ValueError("dual_shard_nodes requires solver='trws'")
         self.sharded = sharded
-        self.shard_workers = shard_workers
-        self.shard_process_nodes = shard_process_nodes
-        self.dual_shard_nodes = dual_shard_nodes
-        self._dual_options = dict(dual_options or {})
         self._solver_options = dict(solver_options)
-        self._warm_iterations = int(warm_iterations)
+        self._warm_options = {
+            **solver_options, "max_iterations": int(warm_iterations)
+        }
+        self._seed = int(solver_options.get("seed") or 0)
         #: per-shard cache: frozen variable-key set → solved summary.
         self._shard_cache: Dict[frozenset, _ShardEntry] = {}
         #: reusable solver work buffers — steady-state warm re-solves stop
-        #: churning the NumPy allocator.  Monolithic solves use one scratch;
-        #: the sharded fan-out leases from a pool (the per-event thread
-        #: pools are short-lived, so thread-locals would never be reused).
+        #: churning the NumPy allocator.
         self._scratch = SolverScratch()
-        self._shard_scratches = SolverScratchPool()
         self.plan = StreamPlan(
             network,
             similarity,
@@ -331,71 +277,33 @@ class DynamicDiversifier:
         writer pulls after a solver exception, since a full rebuild
         discards whatever incremental state went bad.
 
-        A ``sharded=True`` engine dispatches to the per-component path,
-        which re-solves only the shards the pending events touched.
+        A ``sharded=True`` engine re-solves only the shards the pending
+        events touched; both modes solve each plan with :meth:`_solve_one`.
         """
-        if self.sharded:
-            return self._solve_sharded(force_cold=force_cold)
         start = time.perf_counter()
         wall_ns = time.time_ns() if obs.enabled() else 0
         plan = self.plan
         warm, escalation = self._classify_solve(force_cold=force_cold)
         if escalation is not None:
             obs.instant("stream.escalation", cat="stream", reason=escalation)
-        is_trws = self.solver_name == "trws"
-        if warm:
-            plan.flush()
-            if escalation is not None:
-                # A large similarity re-score ("cost_jump"), or a
-                # constraint flip that hard-masked the previous solution
-                # ("stranded"): keep the warm messages (any message state
-                # is a valid reparametrisation) but give the solver its
-                # full budget and the cold init set so it can leave the
-                # previous basin — which a stranding mask just made
-                # infeasible.
-                solver = self._solver
-                extra_inits = (plan.labels,)
-                if is_trws:
-                    extra_inits += (plan.plan.greedy_labels(),)
+        escalate = warm and escalation is not None
+        if self.sharded:
+            labels, energy, result, shards_total, shard_seconds = (
+                self._solve_sharded(warm, escalate)
+            )
+        else:
+            if warm:
+                plan.flush()
             else:
-                solver = self._warm_solver
-                extra_inits = (plan.labels,)
-        else:
-            plan.rebuild()
-            solver = self._solver
-            # The greedy init only feeds TRW-S's refine stage; BP's
-            # solve_arrays takes no inits, so don't pay for it there.
-            extra_inits = (plan.plan.greedy_labels(),) if is_trws else ()
-
-        if is_trws:
-            result = solver.solve_arrays(
-                plan.plan,
-                messages=plan.messages,
-                extra_inits=extra_inits,
-                default_inits=solver is not self._warm_solver,
-                scratch=self._scratch,
+                plan.rebuild()
+            energy, labels, result = self._solve_one(
+                plan.plan, plan.messages, plan.labels if warm else None,
+                warm, escalate,
             )
-        else:
-            result = solver.solve_arrays(
-                plan.plan, messages=plan.messages, scratch=self._scratch
-            )
+            shards_total, shard_seconds = 1, []
 
-        labels = np.asarray(result.labels, dtype=np.int64)
-        energy = result.energy
-        if warm:
-            # Stability tie-break: among equal-energy optima prefer the one
-            # closest to the previous deployment (re-diversification is a
-            # reconfiguration plan — gratuitous churn costs real downtime).
-            # The ICM polish of the previous labels can only tie, never
-            # beat, the solver's best (it was one of the refine inits).
-            polished = plan.plan.icm(plan.labels, scratch=self._scratch)
-            polished_energy = plan.plan.energy(polished)
-            if polished_energy <= energy + 1e-9:
-                labels = polished
-                energy = polished_energy
         plan.record_labels(labels)
         plan.reset_dirty_counters()
-
         values = plan.assignment_values(labels)
         assignment = ProductAssignment.from_decoded(plan.network, values)
         stability = _stability(self._previous, values)
@@ -404,6 +312,7 @@ class DynamicDiversifier:
             np.isfinite(result.lower_bound)
             and energy - result.lower_bound <= 1e-6
         )
+        shards_solved = len(shard_seconds) if self.sharded else 1
         seconds = time.perf_counter() - start
         trace = obs.current_trace()
         if trace is not None and wall_ns:
@@ -414,6 +323,8 @@ class DynamicDiversifier:
                     "warm": warm,
                     "escalation": escalation or "",
                     "energy": energy,
+                    "shards_total": shards_total,
+                    "shards_solved": shards_solved,
                 },
             )
         return StreamSolveResult(
@@ -425,12 +336,61 @@ class DynamicDiversifier:
             stability=stability,
             seconds=seconds,
             solver_result=result,
+            shards_total=shards_total,
+            shards_solved=shards_solved,
             escalation=escalation,
+            shard_seconds=shard_seconds,
         )
 
-    # -------------------------------------------------------- sharded solve
+    def _solve_one(
+        self,
+        plan: MRFArrays,
+        messages: np.ndarray,
+        previous: Optional[np.ndarray],
+        warm: bool,
+        escalate: bool,
+    ) -> Tuple[float, np.ndarray, SolverResult]:
+        """Solve one plan — the live plan or one dirty shard of it.
 
-    def _solve_sharded(self, force_cold: bool = False) -> StreamSolveResult:
+        Maps the mode to the sweep budget and the refine inits, runs the
+        plan dispatcher from ``messages`` (updated in place, so warm starts
+        never take the forest DP), then applies the stability tie-break.
+        Returns ``(energy, labels, result)``.
+        """
+        if warm and not escalate:
+            # Plain warm repair: a few sweeps from the previous fixed
+            # point, refined from the previous labels only.
+            options, default_inits, greedy = self._warm_options, False, False
+        else:
+            # Cold, or a warm solve escalated by a large similarity
+            # re-score ("cost_jump") or a constraint flip that hard-masked
+            # the previous solution ("stranded"): the full budget and the
+            # cold init set, so the solver can leave the previous basin.
+            options, default_inits = self._solver_options, True
+            greedy = self.solver_name == "trws"
+        result = _solve_plan(
+            plan, self.solver_name, options, self._seed, messages,
+            (previous,) if warm else (), default_inits, greedy,
+            scratch=self._scratch,
+        )
+        labels = np.asarray(result.labels, dtype=np.int64)
+        energy = result.energy
+        if warm:
+            # Stability tie-break: among equal-energy optima prefer the one
+            # closest to the previous deployment (re-diversification is a
+            # reconfiguration plan — gratuitous churn costs real downtime).
+            # The ICM polish of the previous labels can only tie, never
+            # beat, the solver's best (it was one of the refine inits).
+            polished = plan.icm(previous, scratch=self._scratch)
+            polished_energy = plan.energy(polished)
+            if polished_energy <= energy + 1e-9:
+                labels = polished
+                energy = polished_energy
+        return energy, labels, result
+
+    def _solve_sharded(
+        self, warm: bool, escalate: bool
+    ) -> Tuple[np.ndarray, float, SolverResult, int, List[float]]:
         """Per-component re-solve: only touched shards pay a solver run.
 
         Partitions the live plan's raw parts (no global slot/level
@@ -439,24 +399,15 @@ class DynamicDiversifier:
         it is new or contains a touched key.  Clean shards keep their
         message slices and labels untouched and contribute their cached
         energy/bound; merges and splits fall out of re-partitioning.
+        Returns ``(labels, energy, result, shards_total, shard_seconds)``.
         """
-        start = time.perf_counter()
-        wall_ns = time.time_ns() if obs.enabled() else 0
         plan = self.plan
-        warm, escalation = self._classify_solve(force_cold=force_cold)
-        if escalation is not None:
-            obs.instant("stream.escalation", cat="stream", reason=escalation)
         if not warm:
             plan.rebuild()
             self._shard_cache.clear()
         touched = set(plan.touched)
-        escalate = warm and escalation is not None
         width = plan.pad_messages()
-        unaries, edge_first, edge_second, edge_cid, matrices = plan.parts()
-        partition = split_parts(
-            unaries, edge_first, edge_second, edge_cid, matrices, lmax=width
-        )
-
+        partition = split_parts(*plan.parts(), lmax=width)
         labels = (
             plan.labels.copy()
             if plan.labels is not None
@@ -466,298 +417,59 @@ class DynamicDiversifier:
             frozenset(plan.variables[int(node)] for node in shard.nodes)
             for shard in partition
         ]
-        entries: List[Optional[_ShardEntry]] = []
-        dirty: List[Tuple[Shard, frozenset]] = []
+        entries: List[_ShardEntry] = []
+        dirty_iterations: List[int] = []
+        shard_seconds: List[float] = []
         for shard, key in zip(partition, keys):
             entry = self._shard_cache.get(key)
             if warm and entry is not None and not (key & touched):
                 entries.append(entry)
-            else:
-                entries.append(None)
-                dirty.append((shard, key))
-
-        solved: Dict[frozenset, _ShardEntry] = {}
-        outcomes: List[Optional[Tuple[_ShardEntry, np.ndarray, int, float]]] = (
-            [None] * len(dirty)
-        )
-        remote = [
-            position
-            for position, (shard, _key) in enumerate(dirty)
-            if self._runs_in_process(shard)
-        ]
-        if remote:
-            # Huge dirty shards ship to worker processes — byte-identical
-            # to the in-process path (same plan rebuild, solver options,
-            # warm messages, inits and polish), so placement is purely a
-            # scheduling decision.
-            jobs = []
-            for position in remote:
-                shard = dirty[position][0]
-                jobs.append(
-                    Job(
-                        key=position,
-                        fn=_stream_shard_job,
-                        kwargs=dict(
-                            unaries=[unaries[int(v)] for v in shard.nodes],
-                            edge_first=shard.local_first,
-                            edge_second=shard.local_second,
-                            edge_cid=shard.local_cid,
-                            lmax=width,
-                            matrices=[matrices[int(k)] for k in shard.cids],
-                            solver_name=self.solver_name,
-                            solver_options=self._solver_options,
-                            warm_iterations=self._warm_iterations,
-                            messages=plan.messages[shard.slots],
-                            previous=labels[shard.nodes] if warm else None,
-                            warm=warm,
-                            escalate=escalate,
-                            shard_index=shard.index,
-                        ),
-                    )
+                continue
+            shard_start = time.perf_counter()
+            messages = plan.messages[shard.slots]
+            with obs.span(
+                "shard.solve",
+                cat="shard",
+                shard=int(shard.index),
+                nodes=len(shard.nodes),
+                warm=warm,
+            ) as shard_span:
+                energy, sub_labels, result = self._solve_one(
+                    shard.plan, messages,
+                    labels[shard.nodes] if warm else None, warm, escalate,
                 )
-            shipped = run_jobs(
-                jobs, workers=min(resolve_workers(self.shard_workers), len(jobs))
-            )
-            for position in remote:
-                shard = dirty[position][0]
-                energy, bound, conv, sub_labels, iters, msg, secs = shipped[
-                    position
-                ]
-                plan.messages[shard.slots] = np.asarray(msg)
-                outcomes[position] = (
-                    _ShardEntry(
-                        energy=energy, lower_bound=bound, converged=conv
-                    ),
-                    np.asarray(sub_labels, dtype=np.int64),
-                    iters,
-                    secs,
-                )
-        local = [
-            position for position in range(len(dirty)) if outcomes[position] is None
-        ]
-        fan_out = min(resolve_workers(self.shard_workers), len(local))
-        if fan_out > 1:
-            # Dirty shards are independent (disjoint nodes and message
-            # slots), so a thread fan-out never changes results.
-            with ThreadPoolExecutor(max_workers=fan_out) as pool:
-                for position, outcome in zip(
-                    local,
-                    pool.map(
-                        lambda position: self._solve_shard(
-                            dirty[position][0], labels, warm, escalate
-                        ),
-                        local,
-                    ),
-                ):
-                    outcomes[position] = outcome
-        else:
-            for position in local:
-                outcomes[position] = self._solve_shard(
-                    dirty[position][0], labels, warm, escalate
-                )
-        dirty_iterations = []
-        shard_seconds: List[float] = []
-        for (shard, key), (entry, sub_labels, sub_iters, sub_secs) in zip(
-            dirty, outcomes
-        ):
+                plan.messages[shard.slots] = messages
+                shard_span.add(energy=energy, iterations=result.iterations)
             labels[shard.nodes] = sub_labels
-            solved[key] = entry
-            dirty_iterations.append(sub_iters)
-            shard_seconds.append(sub_secs)
-        for position, (entry, key) in enumerate(zip(entries, keys)):
-            if entry is None:
-                entries[position] = solved[key]
-        final_entries: List[_ShardEntry] = entries  # all filled now
+            entries.append(
+                _ShardEntry(
+                    energy=energy,
+                    lower_bound=result.lower_bound,
+                    converged=result.converged,
+                )
+            )
+            dirty_iterations.append(result.iterations)
+            shard_seconds.append(time.perf_counter() - shard_start)
         # Clean shards contribute no iterations — nothing ran for them.
         merged = merge_shard_results(
-            [e.energy for e in final_entries],
-            [e.lower_bound for e in final_entries],
+            [e.energy for e in entries],
+            [e.lower_bound for e in entries],
             dirty_iterations,
-            [e.converged for e in final_entries],
+            [e.converged for e in entries],
         )
-        energy = merged.energy
-        lower_bound = merged.lower_bound
         # Prune stale keys so departed/merged shards cannot resurrect.
-        self._shard_cache = dict(zip(keys, final_entries))
-
-        plan.record_labels(labels)
-        plan.reset_dirty_counters()
-        values = plan.assignment_values(labels)
-        assignment = ProductAssignment.from_decoded(plan.network, values)
-        stability = _stability(self._previous, values)
-        self._previous = values
-        certified = (
-            np.isfinite(lower_bound) and energy - lower_bound <= 1e-6
-        )
-        solver_result = SolverResult(
+        self._shard_cache = dict(zip(keys, entries))
+        result = SolverResult(
             labels=[int(x) for x in labels],
-            energy=energy,
-            lower_bound=lower_bound,
+            energy=merged.energy,
+            lower_bound=merged.lower_bound,
             iterations=merged.iterations,
             converged=merged.converged,
             solver=f"{self.solver_name}-sharded",
         )
-        seconds = time.perf_counter() - start
-        trace = obs.current_trace()
-        if trace is not None and wall_ns:
-            trace.record(
-                "stream.solve", "stream",
-                ts=wall_ns / 1000.0, dur=seconds * 1e6,
-                args={
-                    "warm": warm,
-                    "escalation": escalation or "",
-                    "energy": energy,
-                    "shards_total": len(partition),
-                    "shards_solved": len(dirty),
-                },
-            )
-        return StreamSolveResult(
-            assignment=assignment,
-            energy=energy,
-            lower_bound=lower_bound,
-            certified_optimal=certified,
-            warm=warm,
-            stability=stability,
-            seconds=seconds,
-            solver_result=solver_result,
-            shards_total=len(partition),
-            shards_solved=len(dirty),
-            escalation=escalation,
-            shard_seconds=shard_seconds,
-        )
-
-    def _solve_shard(
-        self,
-        shard: Shard,
-        labels: np.ndarray,
-        warm: bool,
-        escalate: bool,
-    ) -> Tuple[_ShardEntry, np.ndarray, int, float]:
-        """One dirty-shard solve, mirroring the monolithic mode choice.
-
-        Returns ``(entry, labels, iterations, seconds)``; the wall time
-        feeds the result's ``shard_seconds`` skew stats (always measured —
-        two clock reads per shard are noise next to a solver run).
-        """
-        shard_start = time.perf_counter()
-        plan = self.plan
-        previous = labels[shard.nodes] if warm else None
-        if (
-            self.dual_shard_nodes is not None
-            and self.solver_name == "trws"
-            and len(shard.nodes) >= self.dual_shard_nodes
-        ):
-            return self._solve_shard_dual(shard, previous, warm, shard_start)
-        messages = plan.messages[shard.slots]
-        scratch = self._shard_scratches.acquire()
-        with obs.span(
-            "shard.solve",
-            cat="shard",
-            shard=int(shard.index),
-            nodes=len(shard.nodes),
-            warm=warm,
-        ) as shard_span:
-            try:
-                energy, sub_labels, result = _solve_shard_arrays(
-                    shard.plan,
-                    messages,
-                    previous,
-                    warm,
-                    escalate,
-                    self.solver_name,
-                    self._solver,
-                    self._warm_solver,
-                    scratch,
-                )
-                plan.messages[shard.slots] = messages
-            finally:
-                self._shard_scratches.release(scratch)
-            shard_span.add(energy=energy, iterations=result.iterations)
-        entry = _ShardEntry(
-            energy=energy,
-            lower_bound=result.lower_bound,
-            converged=result.converged,
-        )
-        seconds = time.perf_counter() - shard_start
-        return entry, sub_labels, result.iterations, seconds
-
-    def _solve_shard_dual(
-        self,
-        shard: Shard,
-        previous: Optional[np.ndarray],
-        warm: bool,
-        shard_start: float,
-    ) -> Tuple[_ShardEntry, np.ndarray, int, float]:
-        """Cold dual re-solve of one giant dirty component.
-
-        The dual loop owns its own boundary state, so the shard's slice of
-        the parent message array is deliberately left untouched — a later
-        warm re-solve of this shard continues from the last message-passing
-        fixed point, and clean shards are never perturbed.  The cached
-        bound is the dual loop's certified bound; the per-shard stability
-        tie-break (polish the previous labels, keep them on an energy tie)
-        applies exactly as on the warm path.
-        """
-        from repro.mrf.dual import DualDecompositionSolver
-
-        scratch = self._shard_scratches.acquire()
-        with obs.span(
-            "shard.dual",
-            cat="shard",
-            shard=int(shard.index),
-            nodes=len(shard.nodes),
-        ) as shard_span:
-            try:
-                result = DualDecompositionSolver(
-                    **{**self._solver_options, **self._dual_options}
-                ).solve_arrays(shard.plan)
-                sub_labels = np.asarray(result.labels, dtype=np.int64)
-                energy = result.energy
-                if warm and previous is not None:
-                    polished = shard.plan.icm(previous, scratch=scratch)
-                    polished_energy = shard.plan.energy(polished)
-                    if polished_energy <= energy + 1e-9:
-                        sub_labels = polished
-                        energy = polished_energy
-            finally:
-                self._shard_scratches.release(scratch)
-            shard_span.add(
-                energy=energy, rounds=result.rounds, gap=result.duality_gap
-            )
-        entry = _ShardEntry(
-            energy=energy,
-            lower_bound=result.lower_bound,
-            converged=result.converged,
-        )
-        return entry, sub_labels, result.iterations, (
-            time.perf_counter() - shard_start
-        )
+        return labels, merged.energy, result, len(partition), shard_seconds
 
     # ------------------------------------------------------------- internals
-
-    def _runs_in_process(self, shard: Shard) -> bool:
-        """True when a dirty shard should ship to a worker process.
-
-        Dual-eligible shards stay in-process — the dual loop fans out its
-        own shard solves and would fight the pool for cores.
-        """
-        if (
-            self.shard_process_nodes is None
-            or len(shard.nodes) < self.shard_process_nodes
-        ):
-            return False
-        return not (
-            self.dual_shard_nodes is not None
-            and self.solver_name == "trws"
-            and len(shard.nodes) >= self.dual_shard_nodes
-        )
-
-    def _delta_too_large(self) -> bool:
-        """Did pending deltas (topology or constraint churn) outgrow the
-        rebuild threshold?  Bulk constraint loads count like topology: a
-        policy file rewriting a quarter of the unary masks is cheaper to
-        recompile than to patch mask by mask."""
-        return self._delta_reason() is not None
 
     def _delta_reason(self) -> Optional[str]:
         """The dominating churn fraction past the rebuild threshold, or
@@ -798,136 +510,6 @@ class DynamicDiversifier:
         if plan.stranded:
             return True, "stranded"
         return True, None
-
-
-def _solve_shard_arrays(
-    shard_plan,
-    messages: np.ndarray,
-    previous: Optional[np.ndarray],
-    warm: bool,
-    escalate: bool,
-    solver_name: str,
-    solver,
-    warm_solver,
-    scratch: SolverScratch,
-):
-    """The dirty-shard solve body, shared by every execution venue.
-
-    One function holds the mode choice (warm repair / escalated full
-    budget / cold), the solver dispatch and the per-shard stability
-    tie-break, so the in-process thread path and the
-    :func:`_stream_shard_job` process path cannot drift apart — a shard
-    solves byte-identically wherever it runs.  Returns ``(energy,
-    labels, result)``; ``messages`` is updated in place.
-    """
-    is_trws = solver_name == "trws"
-    if warm and not escalate:
-        active = warm_solver
-        extra_inits: Tuple[np.ndarray, ...] = (previous,)
-        default_inits = False
-    elif warm:
-        active = solver
-        extra_inits = (previous,)
-        if is_trws:
-            extra_inits += (shard_plan.greedy_labels(),)
-        default_inits = True
-    else:
-        active = solver
-        extra_inits = (shard_plan.greedy_labels(),) if is_trws else ()
-        default_inits = True
-    if is_trws:
-        result = active.solve_arrays(
-            shard_plan,
-            messages=messages,
-            extra_inits=extra_inits,
-            default_inits=default_inits,
-            scratch=scratch,
-        )
-    else:
-        result = active.solve_arrays(
-            shard_plan, messages=messages, scratch=scratch
-        )
-    sub_labels = np.asarray(result.labels, dtype=np.int64)
-    energy = result.energy
-    if warm and previous is not None:
-        # Stability tie-break, per shard (see the monolithic path).
-        polished = shard_plan.icm(previous, scratch=scratch)
-        polished_energy = shard_plan.energy(polished)
-        if polished_energy <= energy + 1e-9:
-            sub_labels = polished
-            energy = polished_energy
-    return energy, sub_labels, result
-
-
-def _stream_shard_job(
-    unaries,
-    edge_first,
-    edge_second,
-    edge_cid,
-    lmax,
-    matrices,
-    solver_name,
-    solver_options,
-    warm_iterations,
-    messages,
-    previous,
-    warm,
-    escalate,
-    shard_index,
-):
-    """One huge dirty-shard solve as a process job (picklable top-level).
-
-    Rebuilds the shard plan from raw parts in the worker (the same
-    :meth:`MRFArrays.from_parts` call the in-process partition factory
-    makes), constructs the same solver pair from the same options, and
-    runs :func:`_solve_shard_arrays` — so the result is byte-identical to
-    an in-process solve of the same shard.  Returns ``(energy,
-    lower_bound, converged, labels, iterations, messages, seconds)``; the
-    updated warm messages ride back for the parent to scatter into its
-    global array.
-    """
-    from repro.mrf.vectorized import MRFArrays
-
-    global _STREAM_JOB_SCRATCH
-    if _STREAM_JOB_SCRATCH is None:
-        _STREAM_JOB_SCRATCH = SolverScratch()
-    shard_start = time.perf_counter()
-    factory = TRWSSolver if solver_name == "trws" else LoopyBPSolver
-    solver = factory(**solver_options)
-    warm_solver = factory(
-        **{**solver_options, "max_iterations": warm_iterations}
-    )
-    with obs.span(
-        "shard.solve",
-        cat="shard",
-        shard=int(shard_index),
-        nodes=len(unaries),
-        warm=warm,
-    ) as shard_span:
-        plan = MRFArrays.from_parts(
-            unaries, edge_first, edge_second, edge_cid, matrices, lmax=lmax
-        )
-        energy, sub_labels, result = _solve_shard_arrays(
-            plan,
-            messages,
-            previous,
-            warm,
-            escalate,
-            solver_name,
-            solver,
-            warm_solver,
-            _STREAM_JOB_SCRATCH,
-        )
-        shard_span.add(energy=energy, iterations=result.iterations)
-    return (
-        energy,
-        result.lower_bound,
-        result.converged,
-        sub_labels,
-        result.iterations,
-        messages,
-        time.perf_counter() - shard_start,
-    )
 
 
 def _stability(

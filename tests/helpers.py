@@ -13,9 +13,11 @@ import random
 
 import numpy as np
 
+from repro.core.costs import build_mrf
 from repro.mrf.graph import PairwiseMRF
+from repro.mrf.vectorized import MRFArrays
 
-__all__ = ["make_random_mrf"]
+__all__ = ["make_random_mrf", "object_pipeline"]
 
 
 def make_random_mrf(
@@ -57,3 +59,43 @@ def make_random_mrf(
                     )
                     mrf.add_edge(i, j, matrix)
     return mrf
+
+
+def object_pipeline(
+    network,
+    similarity,
+    solver: str = "trws",
+    shards=None,
+    zones=None,
+    constraints=None,
+    **solver_options,
+):
+    """The classic object pipeline, as an oracle for ``diversify``.
+
+    ``build_mrf`` → ``MRFArrays(build.mrf)`` → ``solve_plan`` (a zone
+    partition through ``ShardedSolver``; ``shards="cut"`` through
+    ``DualDecompositionSolver().solve(build.mrf)``), decoded with
+    ``build.labels_to_assignment``.  Returns ``(build, result,
+    assignment)``; comparing it with ``diversify`` keeps the object and
+    compiled pipelines in agreement.
+    """
+    from repro.mrf.dual import DualDecompositionSolver
+    from repro.mrf.partition import split_components, zone_groups
+    from repro.mrf.sharded import ShardedSolver, solve_plan
+
+    build = build_mrf(network, similarity, constraints=constraints)
+    if shards == "cut":
+        result = DualDecompositionSolver(
+            solver=solver, **solver_options
+        ).solve(build.mrf)
+    elif shards == "zones":
+        plan = MRFArrays(build.mrf)
+        partition = split_components(
+            plan, groups=zone_groups(build.variables, zones)
+        )
+        result = ShardedSolver(
+            solver=solver, workers=-1, **solver_options
+        ).solve_arrays(plan, partition=partition)
+    else:
+        result = solve_plan(MRFArrays(build.mrf), solver=solver, **solver_options)
+    return build, result, build.labels_to_assignment(network, result.labels)

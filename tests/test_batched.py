@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import object_pipeline
 from hypothesis import given, settings, strategies as st
 
 from repro.core import diversify
@@ -137,12 +138,10 @@ class TestFastPathRouting:
         slow = diversify(network, similarity, fast_path=False)
         assert slow.plan is not None
         assert slow.build is None
-        # ...and compile="python" keeps the classic MRF object pipeline.
-        classic = diversify(
-            network, similarity, fast_path=False, compile="python"
-        )
-        assert classic.build is not None
-        assert classic.plan is None
+        # ...and agrees with the classic MRF object pipeline.
+        _build, classic, assignment = object_pipeline(network, similarity)
+        assert slow.energy == pytest.approx(classic.energy, abs=1e-9)
+        assert slow.assignment.as_dict() == assignment.as_dict()
 
 
 class TestLevelBatching:

@@ -12,13 +12,15 @@ The contract under test (see ``repro/core/compile.py``):
   (paired dedup, flipped edges, per-edge link/service keys) so the
   streaming engine's cold rebuilds keep their event-path alignment.
 * ``diversify`` routed through the compiler returns the same result as the
-  classic ``compile="python"`` pipeline.
+  classic object pipeline (``build_mrf`` → ``MRFArrays`` → ``solve_plan``,
+  the ``object_pipeline`` oracle of ``tests/helpers.py``).
 * A shared :class:`SolverScratch` never changes solver results — with or
   without reuse, across repeated solves and across different plans.
 """
 
 import numpy as np
 import pytest
+from helpers import object_pipeline
 
 from repro.core.compile import (
     compile_plan,
@@ -270,11 +272,10 @@ class TestDiversifyRouting:
     def test_direct_equals_python_pipeline(self):
         net, sim = workload(seed=9)
         direct = diversify(net, sim, fast_path=False)
-        classic = diversify(net, sim, fast_path=False, compile="python")
+        _build, classic, assignment = object_pipeline(net, sim)
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.assignment.as_dict() == classic.assignment.as_dict()
+        assert direct.assignment.as_dict() == assignment.as_dict()
         assert direct.plan is not None and direct.build is None
-        assert classic.build is not None and classic.plan is None
 
     def test_constrained_direct_equals_python(self):
         net, sim = workload(seed=10)
@@ -285,19 +286,16 @@ class TestDiversifyRouting:
             ]
         )
         direct = diversify(net, sim, constraints=constraints, fast_path=False)
-        classic = diversify(
-            net, sim, constraints=constraints, fast_path=False,
-            compile="python",
+        _build, classic, assignment = object_pipeline(
+            net, sim, constraints=constraints
         )
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.satisfied == classic.satisfied
+        assert direct.satisfied == constraints.is_satisfied(assignment, net)
 
     def test_bp_routes_through_compiler(self):
         net, sim = workload(seed=11)
         direct = diversify(net, sim, solver="bp", fast_path=False)
-        classic = diversify(
-            net, sim, solver="bp", fast_path=False, compile="python"
-        )
+        _build, classic, _assignment = object_pipeline(net, sim, solver="bp")
         assert direct.plan is not None
         assert direct.energy == pytest.approx(classic.energy)
 
@@ -307,8 +305,9 @@ class TestDiversifyRouting:
         assert result.plan is None and result.build is not None
 
     def test_invalid_compile_value(self):
+        # An unknown option reaches the solver constructor, which rejects it.
         net, sim = workload(seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             diversify(net, sim, compile="rust")
 
     def test_forest_dispatch_matches(self):
@@ -318,9 +317,10 @@ class TestDiversifyRouting:
         table.set("p0", "p1", 0.8)
         net = chain_network(5)
         direct = diversify(net, table, fast_path=False)
-        classic = diversify(net, table, fast_path=False, compile="python")
+        _build, classic, _assignment = object_pipeline(net, table)
         assert direct.energy == pytest.approx(classic.energy)
-        assert direct.certified_optimal and classic.certified_optimal
+        assert direct.certified_optimal
+        assert classic.is_certified_optimal(tolerance=1e-6)
 
 
 # ----------------------------------------------------------- zone sharding
@@ -354,9 +354,8 @@ class TestZoneShards:
     def test_zone_shards_python_pipeline(self):
         net, sim, zoned = self.zoned_workload()
         mono = diversify(net, sim, fast_path=False)
-        zone_sharded = diversify(
-            net, sim, fast_path=False, shards="zones", zones=zoned,
-            compile="python",
+        _build, zone_sharded, _assignment = object_pipeline(
+            net, sim, shards="zones", zones=zoned
         )
         assert zone_sharded.energy == pytest.approx(mono.energy, abs=1e-9)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import diversify, mono_assignment
+from repro.core.compile import network_energy
 from repro.core.costs import assignment_energy
 from repro.network.constraints import (
     GLOBAL,
@@ -14,7 +15,9 @@ from repro.network.constraints import (
 )
 from repro.network.model import Network
 from repro.network.topologies import chain_network, ring_network
+from repro.network.zones import Zone, ZonedNetwork
 from repro.nvd.similarity import SimilarityTable
+from repro.stream.incremental import DynamicDiversifier
 
 
 class TestUnconstrained:
@@ -176,3 +179,73 @@ class TestHeterogeneousNetworks:
         result = diversify(network, SimilarityTable())
         assert result.assignment.is_complete()
         assert result.similarity_total == 0.0
+
+
+# ------------------------------------------------------ degenerate inputs
+
+_DEGENERATE_SPEC = {"os": ("w", "l"), "db": ("d1", "d2", "d3")}
+
+
+def _degenerate_network(hosts: int) -> Network:
+    """The empty network, one host, or two linked hosts."""
+    network = Network()
+    for index in range(hosts):
+        network.add_host(f"h{index}", _DEGENERATE_SPEC)
+    if hosts == 2:
+        network.add_link("h0", "h1")
+    return network
+
+
+def _degenerate_table() -> SimilarityTable:
+    return SimilarityTable(
+        products=["w", "l", "d1", "d2", "d3"],
+        pairs={("w", "l"): 0.5, ("d1", "d2"): 0.7, ("d2", "d3"): 0.2},
+    )
+
+
+#: Every diversify route; ``None`` marks the zone-sharded one, whose
+#: options depend on the network.
+_ROUTES = {
+    "default": {},
+    "no-fast-path": {"fast_path": False},
+    "bp": {"solver": "bp"},
+    "icm": {"solver": "icm"},
+    "exact": {"solver": "exact"},
+    "shards-2": {"shards": 2},
+    "zones": None,
+    "cut": {"shards": "cut"},
+}
+
+
+class TestDegenerateInputs:
+    """Empty, one-host and two-host networks through every solve route."""
+
+    @pytest.mark.parametrize("hosts", [0, 1, 2])
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_diversify_route(self, hosts, route):
+        network = _degenerate_network(hosts)
+        table = _degenerate_table()
+        options = _ROUTES[route]
+        if options is None:
+            zones = [Zone("z", tuple(network.hosts))] if hosts else []
+            options = {"shards": "zones", "zones": ZonedNetwork(zones)}
+        result = diversify(network, table, **options)
+        assert result.assignment.is_complete()
+        assert result.energy == pytest.approx(
+            network_energy(network, table, result.assignment), abs=1e-9
+        )
+        if options.get("solver", "trws") == "trws":
+            assert result.certified_optimal
+
+    @pytest.mark.parametrize("hosts", [0, 1, 2])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_streaming_engine(self, hosts, sharded):
+        network = _degenerate_network(hosts)
+        table = _degenerate_table()
+        engine = DynamicDiversifier(network, table, sharded=sharded)
+        for _ in range(2):  # the cold first solve, then a warm re-solve
+            result = engine.solve()
+            assert result.assignment.is_complete()
+            assert result.energy == pytest.approx(
+                network_energy(network, table, result.assignment), abs=1e-9
+            )

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+from helpers import object_pipeline
 
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
@@ -234,9 +235,8 @@ class TestDiversifyIntegration:
         direct = diversify(
             net, table, fast_path=False, shards="cut", parts=3, seed=0
         )
-        python = diversify(
-            net, table, fast_path=False, shards="cut", compile="python",
-            parts=3, seed=0,
+        _build, python, _assignment = object_pipeline(
+            net, table, shards="cut", parts=3, seed=0
         )
         assert direct.assignment.is_complete()
         assert direct.energy == pytest.approx(python.energy, abs=1e-9)

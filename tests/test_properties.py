@@ -7,16 +7,19 @@ contracts, whatever the draw.
 The second half of the module is the **invariant pack**: one seeded fuzz
 case (network + similarity + churn trace) is driven through every layer's
 parity contract from a single place — compile byte-parity, kernel-backend
-bit-parity, warm==cold stream energy, sharded==monolithic, and the dual
-decomposition's certified duality gap.  Each invariant is registered in
-``INVARIANT_PACK`` so new layers add one function, not a new harness.
+bit-parity, warm==cold stream energy, sharded==monolithic, the dual
+decomposition's certified duality gap, and certified optima on forests.
+Each invariant is registered in ``INVARIANT_PACK`` so new layers add one
+function, not a new harness.
 """
 
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
+from helpers import object_pipeline
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -42,6 +45,7 @@ from repro.network.generator import (
     random_network,
     random_similarity,
 )
+from repro.network.topologies import chain_network, tree_network
 from repro.nvd.similarity import SimilarityTable
 from repro.sim.malware import InfectionModel
 from repro.stream import (
@@ -268,8 +272,8 @@ def compile_byte_parity(case: FuzzCase) -> None:
         == compiled.cost[: compiled.stacked].tobytes()
     )
     direct = diversify(case.network, case.similarity, fast_path=False)
-    python = diversify(
-        case.network, case.similarity, fast_path=False, compile="python"
+    _build, python, _assignment = object_pipeline(
+        case.network, case.similarity
     )
     assert direct.energy == pytest.approx(python.energy, abs=1e-9)
 
@@ -354,6 +358,37 @@ def dual_gap_certificate(case: FuzzCase) -> None:
     assert dual.energy - mono.energy <= dual.duality_gap + 1e-9
     assert dual.lower_bound <= mono.energy + 1e-9
     assert mrf.energy(dual.labels) == pytest.approx(dual.energy, abs=1e-9)
+
+
+@_invariant
+def forest_is_certified(case: FuzzCase) -> None:
+    """Default ``diversify`` certifies forest host graphs at the optimum.
+
+    Draws a chain or a complete tree (at most 12 hosts) from the case
+    seed.  Forests skip the batched fast path for the plan path's exact
+    forest DP, so the result is certified and equals ``exact``.
+    """
+    rng = random.Random(case.seed)
+    products = tuple(f"p{j}" for j in range(rng.choice((2, 3))))
+    spec = {"svc": products}
+    if rng.random() < 0.5:
+        limit = 12 if len(products) == 2 else 7  # keeps exact enumerable
+        network = chain_network(rng.randint(1, limit), services=spec)
+    else:
+        depth, branching = rng.choice(((0, 2), (1, 2), (1, 3), (2, 2)))
+        network = tree_network(depth, branching=branching, services=spec)
+    table = SimilarityTable(
+        products=products,
+        pairs={
+            (a, b): round(rng.uniform(0.0, 1.0), 3)
+            for i, a in enumerate(products)
+            for b in products[i + 1:]
+        },
+    )
+    result = diversify(network, table)
+    exact = diversify(network, table, solver="exact")
+    assert result.certified_optimal
+    assert result.energy == pytest.approx(exact.energy, abs=1e-9)
 
 
 @settings(max_examples=6, deadline=None)

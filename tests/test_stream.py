@@ -532,23 +532,6 @@ class TestShardedEngine:
             abs=1e-9,
         )
 
-    def test_shard_workers_thread_fanout_identical(self):
-        net, table = workload(seed=9)
-        serial = DynamicDiversifier(net.copy(), table.copy(), sharded=True)
-        threaded = DynamicDiversifier(
-            net.copy(), table.copy(), sharded=True, shard_workers=2
-        )
-        trace = random_churn_trace(net, ChurnConfig(events=5, seed=9))
-        assert serial.solve().energy == pytest.approx(
-            threaded.solve().energy, abs=1e-9
-        )
-        for event in trace:
-            serial.apply(event)
-            threaded.apply(event)
-            assert serial.solve().energy == pytest.approx(
-                threaded.solve().energy, abs=1e-9
-            )
-
     @pytest.mark.parametrize("sharded", [False, True])
     def test_similarity_update_on_freshly_created_matrix(self, sharded):
         # Regression: a LinkAdd between hosts whose candidate-range pair
@@ -623,55 +606,3 @@ class TestReplayDriver:
         trace = random_churn_trace(net, ChurnConfig(events=3, seed=10))
         report = replay_trace(net, table, trace, warm_start=False)
         assert report.warm_count == 0
-
-
-class TestDualShardEngine:
-    """`dual_shard_nodes` routes giant dirty shards through the edge-cut
-    dual solver: energies stay ground-truth, the cached bound is the dual
-    loop's certified global bound, and the path actually fires."""
-
-    def test_validation(self):
-        net, table = workload(hosts=8)
-        with pytest.raises(ValueError, match="dual_shard_nodes"):
-            DynamicDiversifier(net, table, sharded=True, dual_shard_nodes=0)
-        with pytest.raises(ValueError, match="solver='trws'"):
-            DynamicDiversifier(
-                net, table, sharded=True, solver="bp", dual_shard_nodes=4
-            )
-
-    def test_dual_resolve_ground_truth_along_trace(self):
-        from repro import obs
-
-        net, table = workload(seed=11)
-        trace = random_churn_trace(net, ChurnConfig(events=6, seed=11))
-        # Threshold 1: every dirty shard re-solves through the dual loop.
-        engine = DynamicDiversifier(
-            net.copy(), table.copy(), sharded=True, dual_shard_nodes=1,
-            dual_options={"parts": 2, "seed": 0},
-        )
-        engine.solve()
-        check_net, check_table = net.copy(), table.copy()
-        token = obs.begin_capture()
-        try:
-            fired = 0
-            for event in trace:
-                engine.apply(event)
-                result = engine.solve()
-                apply_event(check_net, check_table, event)
-                cold = diversify(check_net, check_table, fast_path=False)
-                # Ground truth: the reported energy is the model-level
-                # energy of the returned assignment, always.
-                assert result.energy == pytest.approx(
-                    assignment_energy(
-                        check_net, check_table, result.assignment
-                    ),
-                    abs=1e-9,
-                )
-                # The dual bound is a valid global bound for the touched
-                # shard, so the engine's energy can undercut cold only
-                # within float noise.
-                assert result.energy >= cold.lower_bound - 1e-9
-        finally:
-            events = obs.end_capture(token)
-        fired = sum(1 for e in events if e["name"] == "shard.dual")
-        assert fired > 0
