@@ -76,15 +76,18 @@ def _add_log_level(parser: argparse.ArgumentParser) -> None:
 
 
 def _shards_value(value: str):
-    """``--shards`` accepts a worker count, ``zones``, or ``cut``."""
+    """``--shards`` accepts an integer >= -1, ``zones``, or ``cut``."""
     if value in ("zones", "cut"):
         return value
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
+        count = None
+    if count is None or count < -1:
         raise argparse.ArgumentTypeError(
-            f"--shards takes an integer, 'zones' or 'cut', got {value!r}"
-        ) from None
+            f"--shards takes an integer >= -1, 'zones' or 'cut', got {value!r}"
+        )
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--shards",
             type=_shards_value,
             default=None,
-            help="solve each cell over its connected-component shards with "
-            "this many concurrent shard workers (-1 = one per CPU; default "
+            help="solve each cell over its connected-component shards, one "
+            "after another (any non-zero integer >= -1; 0 or unset = "
             "monolithic), 'zones' to derive the shard grouping from a "
             "zone model over the workload (energies are identical — "
             "components are independent), or 'cut' for Lagrangian dual "

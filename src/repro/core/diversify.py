@@ -19,6 +19,7 @@ registered solver's ``solve(mrf)``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple, Union
 
@@ -141,22 +142,23 @@ def diversify(
             is faster, 1.3–1.4 s against 1.8–1.9 s).  Set False to force
             the general per-variable MRF.
         shards: route the solve through the component partition
-            (:class:`~repro.mrf.sharded.ShardedSolver`), solving shards
-            concurrently with this many workers (``-1`` = one per CPU,
-            ``1`` = sharded but serial — still wins per-shard convergence).
-            ``"zones"`` derives the partition from the ``zones`` model
-            instead: each zone's micro-components are pinned into one
-            shard (still exact — zone grouping only merges components).
+            (:class:`~repro.mrf.sharded.ShardedSolver`): any non-zero
+            integer ≥ ``-1`` solves the connected components one after
+            another, each on its own convergence schedule (the count
+            itself does not change the result).  ``"zones"`` derives the
+            partition from the ``zones`` model instead: each zone's
+            micro-components are pinned into one shard (still exact —
+            zone grouping only merges components).
             ``"cut"`` routes through Lagrangian dual decomposition
             (:class:`~repro.mrf.dual.DualDecompositionSolver`): a
             balanced edge cut splits even a single giant connected
             component, coupled shards iterate to agreement, and the
             result carries a certified duality gap instead of the exact
             guarantee (``"trws"`` only; tune via ``parts=``,
-            ``max_rounds=``, ``gap_tolerance=``, ``executor=``).
-            ``None``/``0`` keeps the monolithic solve.  Exact for
-            ``"trws"``/``"bp"``, including the batched fast path; other
-            solvers ignore it.
+            ``max_rounds=``, ``gap_tolerance=``).  ``None``/``0`` keeps
+            the monolithic solve.  Any other value raises
+            :class:`ValueError`.  Exact for ``"trws"``/``"bp"``,
+            including the batched fast path; other solvers ignore it.
         zones: the :class:`~repro.network.zones.ZonedNetwork` backing
             ``shards="zones"`` (required then, unused otherwise).
         **solver_options: forwarded to the solver constructor
@@ -175,6 +177,7 @@ def diversify(
     >>> round(result.energy, 2)
     0.03
     """
+    _check_shards(shards)
     if shards == "zones" and zones is None:
         raise ValueError("shards='zones' needs a ZonedNetwork via zones=")
     constraint_set = constraints or ConstraintSet()
@@ -248,6 +251,18 @@ def diversify(
     )
 
 
+def _check_shards(shards: object) -> None:
+    """Reject a ``shards`` value :func:`diversify` does not define."""
+    if shards is None or (isinstance(shards, str) and shards in ("zones", "cut")):
+        return
+    if isinstance(shards, numbers.Integral) and shards >= -1:
+        return
+    raise ValueError(
+        "shards must be None, an integer >= -1, 'zones' or 'cut', "
+        f"got {shards!r}"
+    )
+
+
 def _solve_compiled(
     compiled: CompiledPlan,
     solver: str,
@@ -275,13 +290,13 @@ def _solve_compiled(
         partition = split_components(
             compiled.plan, groups=zone_groups(compiled.variables, zones)
         )
-        return ShardedSolver(
-            solver=solver, workers=-1, **solver_options
-        ).solve_arrays(compiled.plan, partition=partition)
+        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
+            compiled.plan, partition=partition
+        )
     if shards:
-        return ShardedSolver(
-            solver=solver, workers=shards, **solver_options
-        ).solve_arrays(compiled.plan)
+        return ShardedSolver(solver=solver, **solver_options).solve_arrays(
+            compiled.plan
+        )
     return solve_plan(compiled.plan, solver=solver, **solver_options)
 
 
@@ -310,7 +325,7 @@ def _diversify_replicated(
     if shards:
         from repro.mrf.sharded import ShardedSolver
 
-        sharded = ShardedSolver(solver="trws", workers=shards, **solver_options)
+        sharded = ShardedSolver(solver="trws", **solver_options)
         batched = sharded.solve_replicated(problem)
     else:
         solver = BatchedTRWSSolver(**solver_options)

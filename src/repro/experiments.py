@@ -314,15 +314,14 @@ def scalability_cell(
     The timer covers MRF construction plus solving — the paper's
     "computational time of optimizing networks".  The dual bound is off by
     default (the paper's timing runs report time-to-solution, and the bound
-    costs one extra message pass per iteration).  ``shards`` routes the
-    solve through the component partition with that many concurrent shard
-    workers (see :func:`repro.core.diversify.diversify`);
-    ``shards="zones"`` derives the partition from a synthetic zone model
-    over the random workload (contiguous host groups — purely a scheduling
-    granularity, the decomposition stays exact); ``shards="cut"`` runs
-    Lagrangian dual decomposition over a balanced edge cut of the giant
-    component, tuned by ``dual_options`` (``parts``, ``max_rounds``,
-    ``gap_tolerance``, ``executor`` — see
+    costs one extra message pass per iteration).  A non-zero integer
+    ``shards`` solves the connected components one after another (see
+    :func:`repro.core.diversify.diversify`); ``shards="zones"`` derives
+    the partition from a synthetic zone model over the random workload
+    (contiguous host groups, so the decomposition stays exact);
+    ``shards="cut"`` runs Lagrangian dual decomposition over a balanced
+    edge cut of the giant component, tuned by ``dual_options``
+    (``parts``, ``max_rounds``, ``gap_tolerance`` — see
     :class:`repro.mrf.dual.DualDecompositionSolver`).
     """
     network = random_network(config)
@@ -358,7 +357,7 @@ def _synthetic_zone_model(
     ``--shards zones`` gets a synthetic one: hosts in insertion order,
     ``zone_hosts`` per zone.  Zone grouping only *merges* connected
     components into shards, so any grouping keeps the sharded solve exact
-    — the model here sets scheduling granularity, nothing else.
+    — the model here only sets which components solve together.
     """
     from repro.network.zones import Zone, ZonedNetwork
 

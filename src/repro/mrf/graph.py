@@ -33,7 +33,7 @@ class PairwiseMRF:
     >>> mrf.add_edge(a, b, [[0.0, 1.0], [1.0, 0.0]])
     0
     >>> mrf.energy([0, 1])
-    0.0
+    1.0
     """
 
     def __init__(self) -> None:

@@ -162,7 +162,7 @@ class TRWSSolver:
                 ICM run per solve.
             scratch: a reusable :class:`SolverScratch` holding the sweep
                 work buffers.  Steady-state callers (streaming re-solves,
-                per-shard workers, grid sweeps) pass one in so repeated
+                shard loops, grid sweeps) pass one in so repeated
                 solves allocate nothing; ``None`` keeps a private scratch
                 for this call (still allocation-free *across iterations*).
             backend: kernel backend for this solve; overrides the

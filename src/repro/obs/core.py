@@ -143,7 +143,8 @@ class Trace:
             the service's ``/debug/trace`` tail).  ``None`` keeps
             everything (the CLI and benchmark mode).
 
-    Thread-safe: the sharded solver's thread fan-out records concurrently.
+    Thread-safe: the service's solver thread and its HTTP loop record
+    concurrently.
     Events are plain dicts in the Chrome trace-event shape (``name``,
     ``cat``, ``ph``, ``ts``/``dur`` in microseconds, ``pid``/``tid``,
     ``args``), so export is serialisation, not transformation.

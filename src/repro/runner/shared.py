@@ -1,12 +1,11 @@
 """Shared-memory array blocks for cross-process job grids.
 
-Process-pool jobs normally receive their inputs pickled over a pipe.  For
-the big read-only numerics — a similarity-derived cost stack shared by
-every shard of a solve, the padded matrices of a 6000-host sweep — that
+Process-pool jobs normally exchange arrays pickled over a pipe.  For big
+numerics — the result arrays of a 6000-host sweep cell — that
 serialisation dominates the dispatch cost.  :class:`SharedArrayBlock` puts
-one NumPy array into POSIX shared memory instead: the parent ships only a
-tiny picklable :class:`SharedArraySpec` (name, shape, dtype) and each
-worker attaches a zero-copy read-only view.
+one NumPy array into POSIX shared memory instead: the producer ships only
+a tiny picklable :class:`SharedArraySpec` (name, shape, dtype) and the
+consumer attaches a zero-copy read-only view.
 
 Availability is environment-dependent (restricted sandboxes may lack
 ``/dev/shm`` or semaphore support), so creation failures raise plain

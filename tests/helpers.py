@@ -93,9 +93,9 @@ def object_pipeline(
         partition = split_components(
             plan, groups=zone_groups(build.variables, zones)
         )
-        result = ShardedSolver(
-            solver=solver, workers=-1, **solver_options
-        ).solve_arrays(plan, partition=partition)
+        result = ShardedSolver(solver=solver, **solver_options).solve_arrays(
+            plan, partition=partition
+        )
     else:
         result = solve_plan(MRFArrays(build.mrf), solver=solver, **solver_options)
     return build, result, build.labels_to_assignment(network, result.labels)

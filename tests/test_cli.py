@@ -59,6 +59,11 @@ class TestParser:
         assert args.dual_parts == 8
         assert args.dual_rounds == 20
         assert args.dual_gap == pytest.approx(1e-4)
+        assert parser.parse_args([command, "--shards", "-1"]).shards == -1
+        for bad in ("-2", "foo"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--shards", bad])
+            assert exc.value.code == 2
 
     def test_sensitivity_options(self):
         args = build_parser().parse_args(

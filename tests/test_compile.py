@@ -30,7 +30,7 @@ from repro.core.compile import (
 from repro.core.costs import build_mrf
 from repro.core.diversify import diversify
 from repro.mrf.bp import LoopyBPSolver
-from repro.mrf.sharded import ShardedSolver, solve_plan
+from repro.mrf.sharded import solve_plan
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays, SolverScratch
 from repro.network.constraints import (
@@ -490,16 +490,6 @@ class TestSolverScratch:
         without = TRWSSolver().solve_arrays(plan, messages=messages_b)
         assert with_scratch.labels == without.labels
         assert np.array_equal(messages_a, messages_b)
-
-    def test_sharded_solver_matches_serial(self):
-        net, sim = workload(hosts=30, degree=3, services=3, seed=6)
-        plan = compile_plan(net, sim).plan
-        threaded = ShardedSolver(solver="trws", workers=4).solve_arrays(plan)
-        serial = ShardedSolver(
-            solver="trws", workers=1, executor="serial"
-        ).solve_arrays(plan)
-        assert threaded.labels == serial.labels
-        assert threaded.energy == serial.energy
 
     def test_solve_plan_matches_mrf_solve(self):
         net, sim = workload(hosts=18, degree=4, services=2, seed=7)

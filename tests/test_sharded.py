@@ -1,4 +1,4 @@
-"""Tests for the concurrent sharded solver (repro.mrf.sharded).
+"""Tests for the sharded solver (repro.mrf.sharded).
 
 The contract: components share no edges, so solving them independently and
 stitching is exact — sharded and monolithic solves must land on identical
@@ -6,6 +6,8 @@ energies (and summed dual bounds stay valid) on every workload where the
 monolithic solver finds the optimum: the zoned case-study network, the
 air-gapped multi-zone family and the sparse random family.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,11 +20,14 @@ from repro.mrf.batched import (
     replicated_problem_from_network,
 )
 from repro.mrf.bp import LoopyBPSolver
+from repro.mrf.dual import DualDecompositionSolver
 from repro.mrf.partition import split_components, zone_groups
-from repro.mrf.sharded import ShardedSolver
+from repro.mrf.sharded import ShardedSolver, solve_plan
 from repro.mrf.solvers import available_solvers, get_solver
 from repro.mrf.trws import TRWSSolver
 from repro.mrf.vectorized import MRFArrays
+from repro.network.topologies import chain_network, ring_network
+from repro.nvd.similarity import SimilarityTable
 
 from tests.test_partition import workload, zoned_workload
 
@@ -31,10 +36,13 @@ class TestConstruction:
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             ShardedSolver(solver="icm")
-        with pytest.raises(ValueError):
-            ShardedSolver(executor="fibers")
-        with pytest.raises(ValueError):
-            ShardedSolver(min_shard_nodes=0)
+        # diversify validates shards before choosing a path.
+        net = ring_network(5)
+        table = SimilarityTable(products=["p0", "p1"])
+        for bad in ("foo", -5, 1.5):
+            for fast_path in (True, False):
+                with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                    diversify(net, table, shards=bad, fast_path=fast_path)
 
     def test_registry_entries(self):
         assert {"trws-sharded", "bp-sharded"} <= set(available_solvers())
@@ -50,7 +58,7 @@ class TestEnergyParity:
         net, table = workload(seed=seed)
         mrf = build_mrf(net, table).mrf
         mono = TRWSSolver().solve(mrf)
-        shard = ShardedSolver(solver="trws", workers=2).solve(mrf)
+        shard = ShardedSolver(solver="trws").solve(mrf)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
         assert shard.lower_bound <= shard.energy + 1e-9
         assert mrf.energy(shard.labels) == pytest.approx(
@@ -61,7 +69,7 @@ class TestEnergyParity:
         net, table = workload(seed=1)
         mrf = build_mrf(net, table).mrf
         mono = LoopyBPSolver().solve(mrf)
-        shard = ShardedSolver(solver="bp", workers=2).solve(mrf)
+        shard = ShardedSolver(solver="bp").solve(mrf)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
 
     def test_zoned_case_study(self):
@@ -79,23 +87,44 @@ class TestEnergyParity:
         sharded = diversify(network, table, fast_path=False, shards=3)
         assert sharded.energy == pytest.approx(mono.energy, abs=1e-9)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_executors_identical(self, executor):
-        net, table = workload(seed=3)
-        mrf = build_mrf(net, table).mrf
-        reference = ShardedSolver(solver="trws", executor="serial").solve(mrf)
-        result = ShardedSolver(
-            solver="trws", workers=2, executor=executor
-        ).solve(mrf)
-        assert result.energy == pytest.approx(reference.energy, abs=1e-12)
-        assert result.labels == reference.labels
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShardedSolver(solver="trws"),
+            lambda: ShardedSolver(solver="bp"),
+            lambda: DualDecompositionSolver(parts=3, seed=0),
+            lambda: DualDecompositionSolver(parts=5, seed=0),
+            lambda: DualDecompositionSolver(parts=9, seed=0),
+        ],
+        ids=["trws", "bp", "dual-3", "dual-5", "dual-9"],
+    )
+    def test_single_node_shards(self, make):
+        # A loopy triangle plus two isolated nodes: the isolated nodes are
+        # zero-edge single-node shards, and dual parts >= 5 cut every node
+        # into its own shard (9 asks for more parts than there are nodes).
+        unaries = [
+            np.array([0.0, 1.0, 2.0]),
+            np.array([1.0, 0.0, 2.0]),
+            np.array([2.0, 1.0, 0.0]),
+            np.array([0.5, 0.2, 0.9]),
+            np.array([0.3, 0.8, 0.1]),
+        ]
+        plan = MRFArrays.from_parts(
+            unaries,
+            np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([0, 0, 0]),
+            [np.eye(3)],
+        )
+        solver = make()
+        mono = solve_plan(plan, solver=getattr(solver, "solver_name", "trws"))
+        result = solver.solve_arrays(plan)
+        assert result.labels == mono.labels
+        assert result.lower_bound <= result.energy + 1e-9
+        for node in (3, 4):
+            assert result.labels[node] == int(np.argmin(unaries[node]))
 
     def test_forest_labels_identical_to_monolithic(self):
         # Chains are forests: both paths dispatch per component to the
         # same deterministic machinery, so even labels agree.
-        from repro.network.topologies import chain_network
-        from repro.nvd.similarity import SimilarityTable
-
         net = chain_network(8)
         table = SimilarityTable(products=["p0", "p1"])
         table.set("p0", "p1", 0.6)
@@ -135,9 +164,7 @@ class TestReplicatedSharding:
         _zoned, network, table = zoned_workload(zones=3)
         problem = replicated_problem_from_network(network, table)
         mono = BatchedTRWSSolver().solve(problem)
-        shard = ShardedSolver(solver="trws", workers=2).solve_replicated(
-            problem
-        )
+        shard = ShardedSolver(solver="trws").solve_replicated(problem)
         assert shard.energy == pytest.approx(mono.energy, abs=1e-9)
         assert shard.labels.shape == mono.labels.shape
         assert problem.energy(shard.labels) == pytest.approx(
