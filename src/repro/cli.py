@@ -75,6 +75,19 @@ def _add_log_level(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _workers_value(value: str) -> int:
+    """``--workers`` accepts an integer >= -1 (see ``resolve_workers``)."""
+    try:
+        count = int(value)
+    except ValueError:
+        count = None
+    if count is None or count < -1:
+        raise argparse.ArgumentTypeError(
+            f"--workers takes an integer >= -1, got {value!r}"
+        )
+    return count
+
+
 def _shards_value(value: str):
     """``--shards`` accepts an integer >= -1, ``zones``, or ``cut``."""
     if value in ("zones", "cut"):
@@ -132,11 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     t6.add_argument("--seed", type=int, default=11)
     t6.add_argument(
         "--workers",
-        type=int,
+        type=_workers_value,
         default=None,
         help="simulation cells run in this many processes (-1 = one per "
-        "CPU; default serial, or the REPRO_WORKERS env var when set); "
-        "results are identical, only faster",
+        "CPU; default serial, or the REPRO_WORKERS env var when set), "
+        "dispatched in chunks sized to the grid automatically; results "
+        "are identical, only faster",
     )
 
     for name, help_text in (
@@ -153,12 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         t.add_argument(
             "--workers",
-            type=int,
+            type=_workers_value,
             default=None,
             help="grid cells run in this many processes (-1 = one per CPU; "
             "default serial, or the REPRO_WORKERS env var when set); jobs "
-            "are dispatched in chunks on big grids; results are identical, "
-            "only faster",
+            "are dispatched in chunks sized to the grid automatically; "
+            "results are identical, only faster",
         )
         t.add_argument(
             "--shards",
@@ -227,10 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="relative similarity noise levels")
     sens.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
                       help="perturbation seeds per noise level")
-    sens.add_argument("--workers", type=int, default=None,
+    sens.add_argument("--workers", type=_workers_value, default=None,
                       help="(noise, seed) cells run in this many processes "
                       "(-1 = one per CPU; default serial, or the "
-                      "REPRO_WORKERS env var when set)")
+                      "REPRO_WORKERS env var when set), dispatched in "
+                      "chunks sized to the grid automatically")
 
     stream = sub.add_parser(
         "stream",

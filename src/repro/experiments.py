@@ -38,7 +38,7 @@ from repro.network.topologies import (
     MOTIVATIONAL_TARGET,
     motivational_network,
 )
-from repro.runner import Job, resolve_workers, run_jobs
+from repro.runner import Job, run_jobs
 from repro.sim.attacker import make_attacker
 from repro.sim.malware import InfectionModel
 
@@ -377,7 +377,6 @@ def _synthetic_zone_model(
 def scalability_sweep(
     configs: Dict[Tuple[str, int], RandomNetworkConfig],
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
     **cell_options,
 ) -> Dict[Tuple[str, int], ScalabilityCell]:
     """Run one :func:`scalability_cell` per grid point, optionally parallel.
@@ -386,17 +385,13 @@ def scalability_sweep(
     :class:`~repro.runner.Job` (the workload's randomness is pinned by its
     ``RandomNetworkConfig.seed``), executed serially or over a process pool
     — energies and edge counts are identical either way, only wall-clock
-    timings vary with machine load.  Big grids (the ``--full`` sweeps spawn
-    hundreds of cells) dispatch in chunks to amortise pool IPC; pass
-    ``chunksize`` to override the ~4-chunks-per-worker default.
+    timings vary with machine load.
     """
     jobs = [
         Job(key=key, fn=scalability_cell, kwargs=dict(config=config, **cell_options))
         for key, config in configs.items()
     ]
-    if chunksize is None:
-        chunksize = max(1, len(jobs) // (4 * resolve_workers(workers)))
-    return run_jobs(jobs, workers=workers, chunksize=chunksize)
+    return run_jobs(jobs, workers=workers)
 
 
 def table7_rows(

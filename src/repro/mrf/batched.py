@@ -740,10 +740,11 @@ def replicated_problem_from_network(
     service-replicated (heterogeneous services/ranges → use the general
     MRF path).
 
-    Services whose candidate ranges differ in size across the network are
-    grouped by padding — no: eligibility requires *identical* ranges, the
-    common case for the scalability workloads.  All services must share one
-    label count so they stack into one array.
+    A network is eligible when it has at least one host, every host
+    carries the same ``(service, candidate range)`` list as the first host
+    (same services, same products, same order), that list is non-empty,
+    and all its ranges have the same length, so the services stack into
+    one ``(services, labels, labels)`` cost array.
 
     Assembly follows the interning idiom of :mod:`repro.core.compile`:
     eligibility compares each host's ``service_ranges`` profile against

@@ -65,6 +65,18 @@ class TestParser:
                 parser.parse_args([command, "--shards", bad])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command", ["table6", "table7", "table8", "table9", "sensitivity"]
+    )
+    def test_workers_rejects_values_below_minus_one(self, command, capsys):
+        parser = build_parser()
+        assert parser.parse_args([command, "--workers", "-1"]).workers == -1
+        for bad in ("-3", "-2", "two"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--workers", bad])
+            assert exc.value.code == 2
+        assert "--workers takes an integer >= -1" in capsys.readouterr().err
+
     def test_sensitivity_options(self):
         args = build_parser().parse_args(
             ["sensitivity", "--noise", "0.2", "--seeds", "1", "2", "--workers", "2"]

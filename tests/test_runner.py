@@ -6,6 +6,7 @@ because every job carries its own deterministic seed and results are
 collected in job order, not completion order.
 """
 
+import warnings
 
 import pytest
 
@@ -29,15 +30,19 @@ def _fail(message):
 
 
 def _array_result(seed=0, rows=128):
-    """A result mixing a shared-memory-sized array with inline payload."""
+    """A result mixing a 128 KB array, a small one and plain payload."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     return {
-        "big": rng.standard_normal((rows, 128)),   # ≥ the shm threshold
-        "small": rng.standard_normal(4),           # stays inline
+        "big": rng.standard_normal((rows, 128)),
+        "small": rng.standard_normal(4),
         "meta": ("cell", seed),
     }
+
+
+def _raise_oserror():
+    raise FileNotFoundError("missing input")
 
 
 class TestDeriveSeed:
@@ -96,10 +101,10 @@ class TestResolveWorkers:
 
 
 class TestRunJobs:
-    def _jobs(self):
+    def _jobs(self, count=6):
         return [
             Job(key=i, fn=_square, kwargs={"x": i}, seed=derive_seed(9, i))
-            for i in range(6)
+            for i in range(count)
         ]
 
     def test_serial_results_in_job_order(self):
@@ -108,10 +113,12 @@ class TestRunJobs:
         assert results[3] == (9, derive_seed(9, 3))
 
     def test_parallel_equals_serial(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        parallel = run_jobs(self._jobs(), workers=2)
-        assert serial == parallel
-        assert list(serial) == list(parallel)
+        # 24 jobs on 2 workers dispatch in chunks of 24 // (4 * 2) = 3.
+        for count in (6, 24):
+            serial = run_jobs(self._jobs(count), workers=1)
+            parallel = run_jobs(self._jobs(count), workers=2)
+            assert serial == parallel
+            assert list(serial) == list(parallel)
 
     def test_seed_not_injected_when_pinned(self):
         job = Job(key="k", fn=_square, kwargs={"x": 2, "seed": 123}, seed=456)
@@ -123,9 +130,20 @@ class TestRunJobs:
                       Job(key="a", fn=_square, kwargs={"x": 2})])
 
     def test_job_exceptions_propagate(self):
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(RuntimeError, match="boom") as info:
             run_jobs([Job(key=i, fn=_fail, kwargs={"message": "boom"})
                       for i in range(3)], workers=2)
+        # The worker's traceback rides along as the cause.
+        remote = str(info.value.__cause__)
+        assert "Traceback" in remote
+        assert "in _fail" in remote
+
+    def test_job_oserror_is_not_retried_serially(self):
+        jobs = [Job(key=i, fn=_raise_oserror) for i in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FileNotFoundError, match="missing input"):
+                run_jobs(jobs, workers=2)
 
     def test_unpicklable_jobs_fall_back_to_serial(self):
         jobs = [Job(key=i, fn=lambda x=i: x * 10, kwargs={}) for i in range(3)]
@@ -142,19 +160,9 @@ class TestRunJobs:
             results = run_jobs(self._jobs(), workers=4)
         assert results == run_jobs(self._jobs(), workers=None)
 
-    def test_chunksize_results_identical(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        chunked = run_jobs(self._jobs(), workers=2, chunksize=3)
-        assert chunked == serial
-        assert list(chunked) == list(serial)
-
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            run_jobs(self._jobs(), workers=2, chunksize=0)
-
 
 class TestSharedResults:
-    """Large result arrays travel back via shared memory, value-identical."""
+    """Results carrying ndarrays come back from the pool value-identical."""
 
     def _jobs(self):
         return [
@@ -173,56 +181,15 @@ class TestSharedResults:
 
     def test_parallel_equals_serial(self):
         serial = run_jobs(self._jobs(), workers=1)
-        parallel = run_jobs(self._jobs(), workers=2)  # auto shared results
+        parallel = run_jobs(self._jobs(), workers=2)
         self._assert_equal(serial, parallel)
-
-    def test_forced_inline_identical(self):
-        serial = run_jobs(self._jobs(), workers=1)
-        inline = run_jobs(self._jobs(), workers=2, shared_results=False)
-        self._assert_equal(serial, inline)
-
-    def test_export_falls_back_when_segments_unavailable(self, monkeypatch):
-        import numpy as np
-
-        def refuse(array, name=None):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(
-            runner_engine.SharedArrayBlock, "create", staticmethod(refuse)
-        )
-        payload = _array_result(seed=3)
-        exported = runner_engine._export_result(payload)
-        assert np.array_equal(exported["big"], payload["big"])  # inline
-
-    def test_export_roundtrip_structures(self):
-        import numpy as np
-
-        payload = {
-            "tuple": (np.zeros((120, 120)), "x"),
-            "list": [np.ones((120, 120))],
-            "nested": {"deep": np.full((120, 120), 2.0)},
-            "small": np.arange(3.0),
-            "plain": 7,
-        }
-        restored = runner_engine._import_result(
-            runner_engine._export_result(payload)
-        )
-        assert np.array_equal(restored["tuple"][0], payload["tuple"][0])
-        assert restored["tuple"][1] == "x"
-        assert np.array_equal(restored["list"][0], payload["list"][0])
-        assert np.array_equal(restored["nested"]["deep"], payload["nested"]["deep"])
-        assert restored["small"] is payload["small"]  # below threshold: untouched
-        assert restored["plain"] == 7
 
     def test_failing_grid_raises_and_leaks_no_segments(self):
         import glob
 
         def segments():
-            # Both naming schemes run_jobs segments can carry: the per-run
-            # "rr<hex>_" result prefix and anonymous psm_* blocks.
-            return set(glob.glob("/dev/shm/rr*")) | set(
-                glob.glob("/dev/shm/psm_*")
-            )
+            # multiprocessing.shared_memory's default segment names.
+            return set(glob.glob("/dev/shm/psm_*"))
 
         before = segments()
         jobs = [Job(key=0, fn=_fail, kwargs={"message": "boom"})] + [
@@ -231,82 +198,8 @@ class TestSharedResults:
         ]
         with pytest.raises(RuntimeError, match="boom"):
             run_jobs(jobs, workers=2)
-        # Every other job's shared-memory result was drained before the
-        # re-raise — a failing cell must not strand /dev/shm segments.
+        # Results travel by pickling: a failing cell strands nothing.
         assert not segments() - before
-
-    def test_export_handles_dataclasses(self):
-        import numpy as np
-
-        from repro.mrf.solvers import SolverResult
-
-        result = (
-            SolverResult(labels=[1, 2], energy=0.5),
-            np.full((128, 128), 3.0),
-        )
-        restored = runner_engine._import_result(
-            runner_engine._export_result(result)
-        )
-        assert restored[0].labels == [1, 2]
-        assert np.array_equal(restored[1], result[1])
-
-
-class TestSharedArrayBlock:
-    def _block(self, array):
-        from repro.runner import SharedArrayBlock
-
-        try:
-            return SharedArrayBlock.create(array)
-        except OSError:
-            pytest.skip("shared memory unavailable in this environment")
-
-    def test_roundtrip_and_spec_pickles(self):
-        import numpy as np
-        import pickle
-
-        from repro.runner import SharedArrayBlock
-
-        source = np.arange(24.0).reshape(2, 3, 4)
-        block = self._block(source)
-        try:
-            spec = pickle.loads(pickle.dumps(block.spec))
-            view = SharedArrayBlock.attach(spec)
-            got = view.array()
-            assert got.shape == source.shape
-            assert np.array_equal(got, source)
-            assert not got.flags.writeable
-            view.close()
-        finally:
-            block.unlink()
-
-    def test_close_is_idempotent_and_guards_array(self):
-        import numpy as np
-
-        from repro.runner import SharedArrayBlock
-
-        block = self._block(np.ones(3))
-        spec = block.spec
-        block.close()
-        block.close()
-        with pytest.raises(ValueError, match="closed"):
-            block.array()
-        # unlink after close still destroys the segment (no leak) ...
-        block.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedArrayBlock.attach(spec)
-        block.unlink()  # ... and stays idempotent
-
-    def test_context_manager_owner_unlinks(self):
-        import numpy as np
-
-        from repro.runner import SharedArrayBlock
-
-        block = self._block(np.ones(2))
-        spec = block.spec
-        with block:
-            pass
-        with pytest.raises(FileNotFoundError):
-            SharedArrayBlock.attach(spec)
 
 
 class TestExperimentGrids:
