@@ -34,7 +34,8 @@ This module turns that decomposition into first-class objects:
 Every shard sub-plan is built with the parent's label padding (``lmax``), so
 the parent's directed-message array slices straight into shard message
 arrays (rows ``2e``/``2e+1`` of edge ``e`` map through :attr:`Shard.slots`)
-— the property the warm-started sharded streaming path relies on.  Shard
+— the property that lets :class:`~repro.mrf.sharded.ShardedSolver` continue
+a caller's message state shard by shard.  Shard
 node/edge lists preserve ascending global order, hence the wavefront
 schedule of a shard is the restriction of the monolithic schedule and a
 shard solve continues a monolithic solve's message state exactly.
@@ -168,9 +169,8 @@ class Shard:
             without materialising the shard plan.
         plan: the shard's own :class:`MRFArrays`, padded to the parent's
             ``lmax`` so message widths line up.  Built lazily on first
-            access — the sharded streaming engine partitions on every
-            solve but only materialises the *dirty* shards' plans, which
-            is what keeps churn cost proportional to the touched component.
+            access, so a partition only pays for the sub-plans its caller
+            actually solves.
     """
 
     def __init__(

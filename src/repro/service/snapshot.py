@@ -27,8 +27,10 @@ write-ahead-log sequence number the snapshot is anchored at (``wal_seq``
 — WAL segments at or below it are prunable) and the published read-view
 counters, so a restore republishes the exact pre-crash view without an
 extra boot solve.  Schema-1 snapshots still load (no hash to verify,
-``wal_seq`` 0).  :func:`latest_valid_snapshot` is the crash-tolerant
-lookup: it walks snapshots newest-first and *skips* corrupt or partial
+``wal_seq`` 0), and meta keys this build no longer writes (the per-shard
+solve cache and view shard counters of the retired dirty-shard engine)
+are ignored on restore.  :func:`latest_valid_snapshot` is the
+crash-tolerant lookup: it walks snapshots newest-first and *skips* corrupt or partial
 directories with a warning instead of raising, so one torn write never
 blocks ``--restore``.
 """
@@ -199,20 +201,6 @@ def save_snapshot(
             [host, svc_lo, svc_hi, int(cid)]
             for (host, svc_lo, svc_hi), cid in plan._combo_cids.items()
         ],
-        # The sharded engine's per-shard solve summaries.  Restoring them
-        # matters for recovery parity: a rebuilt cache means clean shards
-        # are NOT re-solved after a restart, exactly as they would not
-        # have been had the process never died (a re-solve from restored
-        # messages can tie-break equal-energy optima differently).
-        "shard_cache": [
-            [
-                sorted(list(variable) for variable in key),
-                float(entry.energy),
-                float(entry.lower_bound),
-                bool(entry.converged),
-            ]
-            for key, entry in getattr(engine, "_shard_cache", {}).items()
-        ],
     }
 
     root = Path(directory)
@@ -327,7 +315,7 @@ def load_snapshot(path: Union[str, Path]) -> Snapshot:
     return snapshot
 
 
-def restore_plan(snapshot: Snapshot, track_touched: bool = True) -> StreamPlan:
+def restore_plan(snapshot: Snapshot) -> StreamPlan:
     """Reconstruct the live :class:`StreamPlan` a snapshot captured.
 
     Builds the plan straight from the saved parts — **no recompile** — so
@@ -344,9 +332,6 @@ def restore_plan(snapshot: Snapshot, track_touched: bool = True) -> StreamPlan:
     plan.unary_constant = float(meta["unary_constant"])
     plan.pairwise_weight = float(meta["pairwise_weight"])
     plan.service_weights = dict(meta.get("service_weights") or {})
-    plan.track_touched = track_touched
-
-    plan.touched = set()
     plan.variables = [
         (str(host), str(service)) for host, service in meta["variables"]
     ]
@@ -401,7 +386,6 @@ def restore_engine(
     path: Union[str, Path, Snapshot],
     solver: Optional[str] = None,
     warm_start: bool = True,
-    sharded: bool = False,
     **engine_options,
 ) -> Tuple[DynamicDiversifier, Snapshot]:
     """Warm-restart an engine from a snapshot directory.
@@ -429,32 +413,14 @@ def restore_engine(
         pairwise_weight=float(meta["pairwise_weight"]),
         service_weights=dict(meta.get("service_weights") or {}) or None,
         constraints=snapshot.constraints,
-        sharded=sharded,
         **engine_options,
     )
-    engine.plan = restore_plan(snapshot, track_touched=sharded)
+    engine.plan = restore_plan(snapshot)
     engine._previous = (
         engine.plan.assignment_values(snapshot.labels)
         if snapshot.labels is not None
         else None
     )
-    engine._shard_cache.clear()
-    if sharded:
-        # Rebuild the per-shard solve cache so a recovered engine skips
-        # exactly the clean shards its never-crashed twin would skip —
-        # re-solving a clean shard from restored messages can land on a
-        # different equal-energy labeling and break recovery parity.
-        from repro.stream.incremental import _ShardEntry
-
-        for keys, energy, lower_bound, converged in meta.get(
-            "shard_cache"
-        ) or []:
-            frozen = frozenset(tuple(variable) for variable in keys)
-            engine._shard_cache[frozen] = _ShardEntry(
-                energy=float(energy),
-                lower_bound=float(lower_bound),
-                converged=bool(converged),
-            )
     return engine, snapshot
 
 

@@ -432,9 +432,11 @@ def event_to_dict(event: Event) -> Dict[str, object]:
 def event_from_dict(payload: Dict[str, object]) -> Event:
     """Parse the dict form of a churn event back into its typed class.
 
-    The exact inverse of :func:`event_to_dict`; unknown ``type`` values
-    and missing fields raise ``ValueError`` (the ingestion endpoint turns
-    those into HTTP 400, naming the offending field).
+    The exact inverse of :func:`event_to_dict`; unknown ``type`` values,
+    missing fields and mistyped ones raise ``ValueError`` naming the
+    field (the ingestion endpoint turns those into HTTP 400).  Names must
+    be JSON strings, ``add`` a JSON boolean and ``value`` a number, so a
+    ``"false"`` string or a ``null`` host is rejected, not coerced.
 
     >>> event_from_dict({"type": "link_add", "a": "web", "b": "hmi"})
     LinkAdd(a='web', b='hmi')
@@ -445,68 +447,117 @@ def event_from_dict(payload: Dict[str, object]) -> Event:
     if not isinstance(payload, dict):
         raise ValueError(f"event must be a JSON object, got {type(payload).__name__}")
     kind = payload.get("type")
-    try:
-        if kind == "host_join":
-            return HostJoin(
-                host=str(payload["host"]),
-                services=tuple(
-                    (str(service), tuple(str(p) for p in products))
-                    for service, products in payload["services"]
-                ),
-                links=tuple(str(peer) for peer in payload.get("links", ())),
+
+    def name(field: str) -> str:
+        return _string(payload, field, kind)
+
+    if kind == "host_join":
+        return HostJoin(
+            host=name("host"),
+            services=_services(payload.get("services"), kind),
+            links=tuple(
+                _string_item(peer, "links", kind)
+                for peer in _array(payload.get("links", []), "links", kind)
+            ),
+        )
+    if kind == "host_leave":
+        return HostLeave(host=name("host"))
+    if kind == "link_add":
+        return LinkAdd(a=name("a"), b=name("b"))
+    if kind == "link_remove":
+        return LinkRemove(a=name("a"), b=name("b"))
+    if kind == "similarity":
+        value = payload.get("value")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"malformed {kind!r} event: field 'value' must be a "
+                f"number, got {value!r}"
             )
-        if kind == "host_leave":
-            return HostLeave(host=str(payload["host"]))
-        if kind == "link_add":
-            return LinkAdd(a=str(payload["a"]), b=str(payload["b"]))
-        if kind == "link_remove":
-            return LinkRemove(a=str(payload["a"]), b=str(payload["b"]))
-        if kind == "similarity":
-            return SimilarityUpdate(
-                product_a=str(payload["product_a"]),
-                product_b=str(payload["product_b"]),
-                value=float(payload["value"]),  # type: ignore[arg-type]
+        return SimilarityUpdate(
+            product_a=name("product_a"),
+            product_b=name("product_b"),
+            value=float(value),
+        )
+    if kind == "pin":
+        return PinService(name("host"), name("service"), name("product"))
+    if kind == "unpin":
+        return UnpinService(name("host"), name("service"))
+    if kind == "forbid":
+        return ForbidRange(name("host"), name("service"), name("product"))
+    if kind == "allow":
+        return AllowRange(name("host"), name("service"), name("product"))
+    if kind == "combination":
+        combo_kind = payload.get("kind")
+        if combo_kind not in ("require", "avoid"):
+            raise ValueError(
+                f"combination kind must be 'require' or 'avoid', "
+                f"got {combo_kind!r}"
             )
-        if kind == "pin":
-            return PinService(
-                str(payload["host"]), str(payload["service"]),
-                str(payload["product"]),
+        add = payload.get("add", True)
+        if not isinstance(add, bool):
+            raise ValueError(
+                f"malformed {kind!r} event: field 'add' must be a "
+                f"boolean, got {add!r}"
             )
-        if kind == "unpin":
-            return UnpinService(str(payload["host"]), str(payload["service"]))
-        if kind == "forbid":
-            return ForbidRange(
-                str(payload["host"]), str(payload["service"]),
-                str(payload["product"]),
-            )
-        if kind == "allow":
-            return AllowRange(
-                str(payload["host"]), str(payload["service"]),
-                str(payload["product"]),
-            )
-        if kind == "combination":
-            combo_kind = payload["kind"]
-            if combo_kind not in ("require", "avoid"):
-                raise ValueError(
-                    f"combination kind must be 'require' or 'avoid', "
-                    f"got {combo_kind!r}"
-                )
-            cls = (
-                AvoidCombination if combo_kind == "avoid" else RequireCombination
-            )
-            constraint = cls(
-                str(payload["host"]),
-                str(payload["service_m"]), str(payload["product_j"]),
-                str(payload["service_n"]), str(payload["partner"]),
-            )
-            return CombinationUpdate(
-                constraint=constraint, add=bool(payload.get("add", True))
-            )
-    except (KeyError, TypeError) as problem:
-        raise ValueError(
-            f"malformed {kind!r} event: bad or missing field ({problem})"
-        ) from None
+        cls = (
+            AvoidCombination if combo_kind == "avoid" else RequireCombination
+        )
+        constraint = cls(
+            name("host"),
+            name("service_m"), name("product_j"),
+            name("service_n"), name("partner"),
+        )
+        return CombinationUpdate(constraint=constraint, add=add)
     raise ValueError(f"unknown event type {kind!r}")
+
+
+def _string(payload: Dict[str, object], field: str, kind: object) -> str:
+    """``payload[field]`` as a name; missing or non-string raises."""
+    if field not in payload:
+        raise ValueError(
+            f"malformed {kind!r} event: missing field {field!r}"
+        )
+    return _string_item(payload[field], field, kind)
+
+
+def _string_item(value: object, field: str, kind: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(
+            f"malformed {kind!r} event: expected a string in field "
+            f"{field!r}, got {value!r}"
+        )
+    return value
+
+
+def _array(value: object, field: str, kind: object) -> list:
+    if not isinstance(value, list):
+        raise ValueError(
+            f"malformed {kind!r} event: field {field!r} must be an array, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _services(
+    value: object, kind: object
+) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    """Decode ``host_join.services``: an array of [service, [products]]."""
+    services = []
+    for entry in _array(value, "services", kind):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(
+                f"malformed {kind!r} event: field 'services' must hold "
+                f"[service, [products]] pairs, got {entry!r}"
+            )
+        service, products = entry
+        services.append((
+            _string_item(service, "services", kind),
+            tuple(
+                _string_item(p, "services", kind)
+                for p in _array(products, "services", kind)
+            ),
+        ))
+    return tuple(services)
 
 
 # ------------------------------------------------------------------ traces

@@ -22,18 +22,6 @@ state is a valid TRW-S reparametrisation, so energies and dual bounds keep
 their meaning, and the reported energy always equals the true E(N) of the
 returned assignment on the mutated network and constraint set.
 
-With ``sharded=True`` the engine additionally partitions the live plan
-into connected-component shards (:mod:`repro.mrf.partition`) and re-solves
-**only the shards touched by the pending events** — the plan's stable
-(host, service) touched-keys map each event to the components it dirtied,
-link adds merge shards and removals split them (the partition is recomputed
-from the raw parts every solve, so merges/splits are handled by
-construction), and clean shards keep their message slices, labels and
-cached energies byte-for-byte.  Churn cost becomes proportional to the
-touched component instead of the network; components share no edges, so
-per-shard energies and dual bounds just add and the parity contract below
-is unchanged.
-
 Solution *quality* relative to a cold solve depends on the instance.  On
 workloads where TRW-S+ICM reliably finds the optimum — the sparse,
 well-colorable family the tests and ``benchmarks/bench_stream_churn.py``
@@ -48,16 +36,15 @@ a universal guarantee.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.mrf.partition import merge_shard_results, split_parts
 from repro.mrf.sharded import _solve_plan
 from repro.mrf.solvers import SolverResult
-from repro.mrf.vectorized import MRFArrays, SolverScratch
+from repro.mrf.vectorized import SolverScratch
 from repro.network.assignment import ProductAssignment
 from repro.network.constraints import ConstraintSet
 from repro.network.model import Network
@@ -66,15 +53,6 @@ from repro.stream.events import Event
 from repro.stream.plan import StreamPlan
 
 __all__ = ["StreamSolveResult", "DynamicDiversifier"]
-
-
-@dataclass
-class _ShardEntry:
-    """Cached per-shard solve summary (valid while the shard stays clean)."""
-
-    energy: float
-    lower_bound: float
-    converged: bool
 
 
 @dataclass
@@ -95,20 +73,12 @@ class StreamSolveResult:
             first solve).
         seconds: wall-clock time of this solve (patch + solver).
         solver_result: raw solver output (iterations, traces, ...).
-        shards_total: shard count of the partition this solve ran over
-            (1 for the monolithic engine).
-        shards_solved: shards actually re-solved — on a sharded warm solve
-            only the components touched by the pending events; clean
-            shards kept their messages/labels/energy untouched.
         escalation: why this solve left the cheap warm path, or ``None``
             for a plain warm re-solve.  ``"cost_jump"`` / ``"stranded"``
             mark warm solves escalated to the full budget; ``"node_churn"``
             / ``"edge_churn"`` / ``"mask_churn"`` name the fraction that
             crossed the rebuild threshold; ``"first_solve"`` and
             ``"warm_disabled"`` mark the other cold cases.
-        shard_seconds: wall time of each dirty-shard solve (sharded mode;
-            empty for the monolithic engine) — the skew signal behind the
-            service's per-shard latency histogram.
     """
 
     assignment: ProductAssignment
@@ -119,10 +89,7 @@ class StreamSolveResult:
     stability: float
     seconds: float
     solver_result: SolverResult
-    shards_total: int = 1
-    shards_solved: int = 1
     escalation: Optional[str] = None
-    shard_seconds: List[float] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -167,19 +134,6 @@ class DynamicDiversifier:
             previous solution escalates to the full-budget solve, and a
             bulk load past ``rebuild_fraction`` falls back to a cold
             recompile.
-        sharded: partition the live plan into connected-component shards
-            and warm re-solve only the shards touched by pending events
-            (see the module docstring).  The decomposition itself is
-            exact (shard energies/bounds add, reported energy always
-            equals the true E(N) of the returned assignment), and on the
-            workload families where warm/cold parity holds it holds for
-            this mode too — but the two modes follow *different* warm
-            trajectories (per-shard tie-breaking noise, per-shard ICM
-            basins), so on hard instances they can land in different
-            local optima and the stability metric may differ; cross-mode
-            energy equality is a property of the workload, exactly like
-            the warm/cold contract above.  Dirty shards solve one after
-            another, all with the engine's solver seed.
         **solver_options: forwarded to the solver constructor.
     """
 
@@ -196,7 +150,6 @@ class DynamicDiversifier:
         pairwise_weight: float = 1.0,
         service_weights: Optional[Mapping[str, float]] = None,
         constraints: Optional[ConstraintSet] = None,
-        sharded: bool = False,
         **solver_options,
     ) -> None:
         if warm_iterations < 1:
@@ -213,14 +166,11 @@ class DynamicDiversifier:
         self.warm_start = warm_start
         self.rebuild_fraction = rebuild_fraction
         self.cost_jump_threshold = cost_jump_threshold
-        self.sharded = sharded
         self._solver_options = dict(solver_options)
         self._warm_options = {
             **solver_options, "max_iterations": int(warm_iterations)
         }
         self._seed = int(solver_options.get("seed") or 0)
-        #: per-shard cache: frozen variable-key set → solved summary.
-        self._shard_cache: Dict[frozenset, _ShardEntry] = {}
         #: reusable solver work buffers — steady-state warm re-solves stop
         #: churning the NumPy allocator.
         self._scratch = SolverScratch()
@@ -230,7 +180,6 @@ class DynamicDiversifier:
             unary_constant=unary_constant,
             pairwise_weight=pairwise_weight,
             service_weights=service_weights,
-            track_touched=sharded,
             constraints=constraints,
         )
         self._previous: Optional[Dict[Tuple[str, str], str]] = None
@@ -276,9 +225,6 @@ class DynamicDiversifier:
         (escalation reason ``"forced"``) — the recovery lever the service
         writer pulls after a solver exception, since a full rebuild
         discards whatever incremental state went bad.
-
-        A ``sharded=True`` engine re-solves only the shards the pending
-        events touched; both modes solve each plan with :meth:`_solve_one`.
         """
         start = time.perf_counter()
         wall_ns = time.time_ns() if obs.enabled() else 0
@@ -286,21 +232,13 @@ class DynamicDiversifier:
         warm, escalation = self._classify_solve(force_cold=force_cold)
         if escalation is not None:
             obs.instant("stream.escalation", cat="stream", reason=escalation)
-        escalate = warm and escalation is not None
-        if self.sharded:
-            labels, energy, result, shards_total, shard_seconds = (
-                self._solve_sharded(warm, escalate)
-            )
+        if warm:
+            plan.flush()
         else:
-            if warm:
-                plan.flush()
-            else:
-                plan.rebuild()
-            energy, labels, result = self._solve_one(
-                plan.plan, plan.messages, plan.labels if warm else None,
-                warm, escalate,
-            )
-            shards_total, shard_seconds = 1, []
+            plan.rebuild()
+        energy, labels, result = self._solve_one(
+            warm, escalate=warm and escalation is not None
+        )
 
         plan.record_labels(labels)
         plan.reset_dirty_counters()
@@ -312,7 +250,6 @@ class DynamicDiversifier:
             np.isfinite(result.lower_bound)
             and energy - result.lower_bound <= 1e-6
         )
-        shards_solved = len(shard_seconds) if self.sharded else 1
         seconds = time.perf_counter() - start
         trace = obs.current_trace()
         if trace is not None and wall_ns:
@@ -323,8 +260,6 @@ class DynamicDiversifier:
                     "warm": warm,
                     "escalation": escalation or "",
                     "energy": energy,
-                    "shards_total": shards_total,
-                    "shards_solved": shards_solved,
                 },
             )
         return StreamSolveResult(
@@ -336,27 +271,21 @@ class DynamicDiversifier:
             stability=stability,
             seconds=seconds,
             solver_result=result,
-            shards_total=shards_total,
-            shards_solved=shards_solved,
             escalation=escalation,
-            shard_seconds=shard_seconds,
         )
 
     def _solve_one(
-        self,
-        plan: MRFArrays,
-        messages: np.ndarray,
-        previous: Optional[np.ndarray],
-        warm: bool,
-        escalate: bool,
+        self, warm: bool, escalate: bool
     ) -> Tuple[float, np.ndarray, SolverResult]:
-        """Solve one plan — the live plan or one dirty shard of it.
+        """Solve the live (flushed or rebuilt) plan.
 
         Maps the mode to the sweep budget and the refine inits, runs the
-        plan dispatcher from ``messages`` (updated in place, so warm starts
-        never take the forest DP), then applies the stability tie-break.
-        Returns ``(energy, labels, result)``.
+        plan dispatcher from the plan's messages (updated in place, so warm
+        starts never take the forest DP), then applies the stability
+        tie-break.  Returns ``(energy, labels, result)``.
         """
+        plan = self.plan.plan
+        previous = self.plan.labels if warm else None
         if warm and not escalate:
             # Plain warm repair: a few sweeps from the previous fixed
             # point, refined from the previous labels only.
@@ -369,7 +298,7 @@ class DynamicDiversifier:
             options, default_inits = self._solver_options, True
             greedy = self.solver_name == "trws"
         result = _solve_plan(
-            plan, self.solver_name, options, self._seed, messages,
+            plan, self.solver_name, options, self._seed, self.plan.messages,
             (previous,) if warm else (), default_inits, greedy,
             scratch=self._scratch,
         )
@@ -387,87 +316,6 @@ class DynamicDiversifier:
                 labels = polished
                 energy = polished_energy
         return energy, labels, result
-
-    def _solve_sharded(
-        self, warm: bool, escalate: bool
-    ) -> Tuple[np.ndarray, float, SolverResult, int, List[float]]:
-        """Per-component re-solve: only touched shards pay a solver run.
-
-        Partitions the live plan's raw parts (no global slot/level
-        re-derivation), keys each shard by its frozen (host, service) set
-        — stable across node renumbering — and re-solves a shard only when
-        it is new or contains a touched key.  Clean shards keep their
-        message slices and labels untouched and contribute their cached
-        energy/bound; merges and splits fall out of re-partitioning.
-        Returns ``(labels, energy, result, shards_total, shard_seconds)``.
-        """
-        plan = self.plan
-        if not warm:
-            plan.rebuild()
-            self._shard_cache.clear()
-        touched = set(plan.touched)
-        width = plan.pad_messages()
-        partition = split_parts(*plan.parts(), lmax=width)
-        labels = (
-            plan.labels.copy()
-            if plan.labels is not None
-            else np.zeros(plan.node_count, dtype=np.int64)
-        )
-        keys = [
-            frozenset(plan.variables[int(node)] for node in shard.nodes)
-            for shard in partition
-        ]
-        entries: List[_ShardEntry] = []
-        dirty_iterations: List[int] = []
-        shard_seconds: List[float] = []
-        for shard, key in zip(partition, keys):
-            entry = self._shard_cache.get(key)
-            if warm and entry is not None and not (key & touched):
-                entries.append(entry)
-                continue
-            shard_start = time.perf_counter()
-            messages = plan.messages[shard.slots]
-            with obs.span(
-                "shard.solve",
-                cat="shard",
-                shard=int(shard.index),
-                nodes=len(shard.nodes),
-                warm=warm,
-            ) as shard_span:
-                energy, sub_labels, result = self._solve_one(
-                    shard.plan, messages,
-                    labels[shard.nodes] if warm else None, warm, escalate,
-                )
-                plan.messages[shard.slots] = messages
-                shard_span.add(energy=energy, iterations=result.iterations)
-            labels[shard.nodes] = sub_labels
-            entries.append(
-                _ShardEntry(
-                    energy=energy,
-                    lower_bound=result.lower_bound,
-                    converged=result.converged,
-                )
-            )
-            dirty_iterations.append(result.iterations)
-            shard_seconds.append(time.perf_counter() - shard_start)
-        # Clean shards contribute no iterations — nothing ran for them.
-        merged = merge_shard_results(
-            [e.energy for e in entries],
-            [e.lower_bound for e in entries],
-            dirty_iterations,
-            [e.converged for e in entries],
-        )
-        # Prune stale keys so departed/merged shards cannot resurrect.
-        self._shard_cache = dict(zip(keys, entries))
-        result = SolverResult(
-            labels=[int(x) for x in labels],
-            energy=merged.energy,
-            lower_bound=merged.lower_bound,
-            iterations=merged.iterations,
-            converged=merged.converged,
-            solver=f"{self.solver_name}-sharded",
-        )
-        return labels, merged.energy, result, len(partition), shard_seconds
 
     # ------------------------------------------------------------- internals
 

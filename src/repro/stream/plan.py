@@ -1,8 +1,8 @@
 """A live, delta-updatable MRF array plan over a mutating network.
 
-:class:`StreamPlan` is the incremental counterpart of
-:func:`repro.core.costs.build_mrf` + :class:`repro.mrf.vectorized.MRFArrays`
-for the (constrained) diversification MRF.  It owns
+:class:`StreamPlan` is the incremental counterpart of the batch
+network→plan compiler (:func:`repro.core.compile.compile_plan`) for the
+(constrained) diversification MRF.  It owns
 
 * the ``(host, service) → node`` variable mapping and candidate ranges,
 * the live operator :class:`~repro.network.constraints.ConstraintSet` and
@@ -36,23 +36,11 @@ See ``docs/streaming.md`` for the per-event contract table.
 Because padded message entries are 0 — the additive identity — new slots
 start cold at 0 while surviving slots keep their near-fixed-point values,
 which is what makes the warm start work across structural deltas.
-
-For the sharded re-solve path the plan additionally keeps a **touched set**
-of (host, service) variable keys — every event adds the variables whose
-node, incident edges or cost matrices it changed.  Keys are stable across
-the node renumbering of host churn, so the incremental engine can map each
-event to the connected components it dirtied (link adds merge shards, link
-removals split them — both endpoints are touched either way, so every
-resulting component carries a touched key) and leave every clean shard's
-messages, labels and cached energy untouched.  :meth:`StreamPlan.parts`
-exposes the raw arrays the shard partitioner consumes, which is how the
-sharded engine skips the O(network) global slot/level re-derivation
-entirely.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -93,12 +81,6 @@ class StreamPlan:
         unary_constant: the paper's ``Pr_const`` per-label base cost.
         pairwise_weight: λ scaling of the similarity penalty.
         service_weights: optional per-service multipliers of λ.
-        track_touched: pay the O(edges) endpoint scan that maps a
-            similarity event onto the :attr:`touched` variable-key set
-            (the sharded engine's dirtiness signal).  Structural events
-            always record their own (cheap, O(delta)) touched keys; a
-            monolithic consumer turns this flag off to keep feed updates
-            off the scan.
         constraints: the live operator constraint set.  Fix/Forbid masks
             and combination tables are compiled in, and constraint events
             (:class:`~repro.stream.events.PinService` & co.) keep plan and
@@ -107,8 +89,8 @@ class StreamPlan:
             intra-host edges through the eager edge-edit + lazy
             :meth:`flush` path.
 
-    The soft-preference-carrying cases stay on the batch
-    :func:`~repro.core.costs.build_mrf` path; streaming covers the
+    Soft preferences stay on the batch
+    :func:`~repro.core.compile.compile_plan` path; streaming covers the
     (constrained) MRF that re-solves at churn frequency.
     """
 
@@ -119,7 +101,6 @@ class StreamPlan:
         unary_constant: float = 0.01,
         pairwise_weight: float = 1.0,
         service_weights: Optional[Mapping[str, float]] = None,
-        track_touched: bool = True,
         constraints: Optional[ConstraintSet] = None,
     ) -> None:
         if pairwise_weight < 0:
@@ -131,7 +112,6 @@ class StreamPlan:
         self.unary_constant = float(unary_constant)
         self.pairwise_weight = float(pairwise_weight)
         self.service_weights = dict(service_weights or {})
-        self.track_touched = track_touched
         #: the live constraint set (mutated in place by constraint events).
         self.constraints = constraints if constraints is not None else ConstraintSet()
         self.rebuild()
@@ -166,9 +146,6 @@ class StreamPlan:
             service_weights=self.service_weights or None,
             constraints=self.constraints,
         )
-        #: (host, service) keys of variables touched since the last solve —
-        #: stable across node renumbering, consumed by the sharded engine.
-        self.touched: Set[Tuple[str, str]] = set()
         self.variables: List[Tuple[str, str]] = parts.variables
         self.index: Dict[Tuple[str, str], int] = parts.index
         self.candidates: List[Tuple[str, ...]] = parts.candidates
@@ -229,7 +206,6 @@ class StreamPlan:
         #: then re-solves with its full budget, since the previous basin
         #: is no longer feasible.
         self.stranded = False
-        self.touched.clear()
 
     # ------------------------------------------------------------ event apply
 
@@ -309,7 +285,7 @@ class StreamPlan:
         self._edges_dirty = False
         return self.plan
 
-    # ------------------------------------------------------------ shard view
+    # ------------------------------------------------------------ live sizes
 
     @property
     def node_count(self) -> int:
@@ -320,23 +296,6 @@ class StreamPlan:
     def edge_count(self) -> int:
         """Live edge count (tracks pending deltas, unlike ``plan``)."""
         return len(self._edge_first)
-
-    def parts(self):
-        """The raw plan parts, as the shard partitioner consumes them.
-
-        Returns ``(unaries, edge_first, edge_second, edge_cid, matrices)``
-        reflecting every applied event — including structural deltas not
-        yet flushed into the global :class:`MRFArrays` plan, which is what
-        lets the sharded engine partition without paying the global
-        slot/level re-derivation.
-        """
-        return (
-            self._unaries,
-            np.asarray(self._edge_first, dtype=np.int64),
-            np.asarray(self._edge_second, dtype=np.int64),
-            np.asarray(self._edge_cid, dtype=np.int64),
-            self._matrices,
-        )
 
     def pad_messages(self) -> int:
         """Grow the message padding to the widest live label space.
@@ -375,9 +334,6 @@ class StreamPlan:
         self.variables.append((host, service))
         self.candidates.append(range_)
         self._unaries.append(np.full(len(range_), self.unary_constant))
-        # Touched-set bookkeeping: a rebuild touches everything and then
-        # clears the set, so only post-rebuild appends persist.
-        self.touched.add((host, service))
 
     def _weight(self, service: str) -> float:
         return self.pairwise_weight * float(self.service_weights.get(service, 1.0))
@@ -416,15 +372,12 @@ class StreamPlan:
         self._edge_first.append(first)
         self._edge_second.append(second)
         self._edge_cid.append(cid)
-        self.touched.add((a, service))
-        self.touched.add((b, service))
 
     # ------------------------------------------------------- event internals
 
     def _apply_similarity(self, event: SimilarityUpdate) -> None:
         a, b, value = event.product_a, event.product_b, event.value
         self.similarity.set(a, b, value)
-        changed_cids = set()
         for cid, (range_a, range_b, weight) in enumerate(self._matrix_meta):
             matrix = self._matrices[cid]
             changed = False
@@ -442,23 +395,12 @@ class StreamPlan:
                 )
                 matrix[row, col] = weight * value
                 changed = True
-            if changed:
-                changed_cids.add(cid)
-                # Matrices born after the last flush/rebuild (a pending
-                # structural delta allocated them) are not in the live
-                # plan's stack yet; the pending flush — or the sharded
-                # path's per-shard rebuild — picks the new value up from
-                # self._matrices, so only patch ids the stack knows.
-                if cid < self.plan.stacked:
-                    self.plan.set_cost_matrix(cid, matrix)
-        if changed_cids and self.track_touched:
-            # Shards whose edges price through a changed matrix must
-            # re-solve; their endpoints mark them dirty (one pass for the
-            # whole event, however many matrices it hit).
-            for e, edge_cid in enumerate(self._edge_cid):
-                if edge_cid in changed_cids:
-                    self.touched.add(self.variables[self._edge_first[e]])
-                    self.touched.add(self.variables[self._edge_second[e]])
+            # Matrices born after the last flush/rebuild (a pending
+            # structural delta allocated them) are not in the live plan's
+            # stack yet; the pending flush picks the new value up from
+            # self._matrices, so only patch ids the stack knows.
+            if changed and cid < self.plan.stacked:
+                self.plan.set_cost_matrix(cid, matrix)
 
     def _apply_unary_constraint(self, event) -> None:
         """Pin/Unpin/Forbid/Allow: mutate the set, rewrite one unary mask.
@@ -492,7 +434,6 @@ class StreamPlan:
             and vector[int(self.labels[node])] >= HARD_COST
         ):
             self.stranded = True
-        self.touched.add((host, service))
         self.dirty_masked += 1
 
     def _apply_combination(self, event: CombinationUpdate) -> None:
@@ -595,8 +536,6 @@ class StreamPlan:
             ]
             self._delete_edges(positions)
             del self._combo_cids[key]
-        self.touched.add((host, svc_lo))
-        self.touched.add((host, svc_hi))
         self.dirty_edges += 1
 
     def _apply_link_add(self, event: LinkAdd) -> None:
@@ -618,10 +557,6 @@ class StreamPlan:
         positions = [
             e for e, (link, _service) in enumerate(self._edge_keys) if link == key
         ]
-        for e in positions:
-            # A removal can split a shard; both halves keep a touched key.
-            self.touched.add(self.variables[self._edge_first[e]])
-            self.touched.add(self.variables[self._edge_second[e]])
         self._delete_edges(positions)
         self.dirty_edges += len(positions)
 
@@ -673,12 +608,6 @@ class StreamPlan:
             if self._edge_first[e] in removed_set
             or self._edge_second[e] in removed_set
         ]
-        for e in positions:
-            # Surviving neighbours mark the shrunken/split shards dirty
-            # (the removed variables' own keys vanish with them).
-            for node in (self._edge_first[e], self._edge_second[e]):
-                if node not in removed_set:
-                    self.touched.add(self.variables[node])
         self._delete_edges(positions)
         self.dirty_edges += len(positions)
 

@@ -238,12 +238,14 @@ class TestDegenerateInputs:
             assert result.certified_optimal
 
     @pytest.mark.parametrize("hosts", [0, 1, 2])
-    @pytest.mark.parametrize("sharded", [False, True])
-    def test_streaming_engine(self, hosts, sharded):
+    @pytest.mark.parametrize("cold", [False, True])
+    def test_streaming_engine(self, hosts, cold):
         network = _degenerate_network(hosts)
         table = _degenerate_table()
-        engine = DynamicDiversifier(network, table, sharded=sharded)
-        for _ in range(2):  # the cold first solve, then a warm re-solve
+        engine = DynamicDiversifier(network, table, warm_start=not cold)
+        # The cold first solve, then a warm re-solve (or, with warm starts
+        # off, a second cold rebuild).
+        for _ in range(2):
             result = engine.solve()
             assert result.assignment.is_complete()
             assert result.energy == pytest.approx(

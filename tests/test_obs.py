@@ -417,7 +417,7 @@ class TestTraceCli:
         # the breakdown tables follow the file lines
         assert "self" in text or "total" in text
 
-    def test_trace_stream_sharded_report(self, tmp_path, capsys):
+    def test_trace_stream_report(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         text = self._run(
             ["trace", "stream", "--hosts", "10", "--degree", "2",
@@ -427,10 +427,27 @@ class TestTraceCli:
         )
         assert "wrote" in text
         assert out.exists()
-        # the sharded engine leaves shard solve spans in the trace
+        # every event leaves an apply span and a solve span in the trace
+        payload = json.loads(out.read_text())
+        names = [event.get("name") for event in payload["traceEvents"]]
+        assert names.count("stream.apply") == 3
+        assert names.count("stream.solve") == 4  # initial solve + 3 events
+        assert not any(name and name.startswith("shard") for name in names)
+
+    def test_trace_serve_replay_report(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        text = self._run(
+            ["trace", "serve-replay", "--hosts", "10", "--degree", "2",
+             "--services", "2", "--products", "3", "--events", "3",
+             "--out", str(out)],
+            capsys,
+        )
+        assert f"wrote {out}" in text
+        # writer-side batch and solve spans join the CLI's trace
         payload = json.loads(out.read_text())
         names = {event.get("name") for event in payload["traceEvents"]}
-        assert any(name and name.startswith("shard") for name in names)
+        assert {"service.batch", "stream.solve"} <= names
+        assert not obs.enabled()
 
     def test_trace_after_deactivate_leaves_recorder_clean(
         self, tmp_path, capsys

@@ -139,8 +139,7 @@ class TestSplitComponents:
         assert np.array_equal(restored, messages)
 
     def test_shard_plans_built_lazily(self):
-        # The sharded streaming engine partitions every solve but only
-        # touches dirty shards' plans; clean shards must stay unbuilt.
+        # A partition builds only the sub-plans its caller reads.
         net, table = workload(seed=5)
         plan = plan_for(net, table)
         partition = split_components(plan)

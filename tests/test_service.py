@@ -13,6 +13,7 @@ from repro.network.generator import (
 )
 from repro.service import (
     SNAPSHOT_SCHEMA,
+    DiversificationService,
     ServiceConfig,
     ServiceMetrics,
     latest_snapshot,
@@ -226,10 +227,39 @@ class TestSnapshotRoundTrip:
     def test_latest_on_empty_directory(self, tmp_path):
         assert latest_snapshot(tmp_path) is None
 
-    def test_sharded_engine_round_trip(self, tmp_path):
-        engine, _ = churny_engine(seed=7, sharded=True, constraint_weight=0.0)
+    def test_restores_snapshot_with_retired_shard_keys(self, tmp_path):
+        # Snapshots written before the dirty-shard engine was retired carry
+        # a per-shard solve cache and shard counters in the view; restore
+        # ignores them, and the first solve matches the never-restarted
+        # engine.
+        engine, _ = churny_engine(seed=7)
         reference = engine.solve()
-        path = save_snapshot(engine, tmp_path, version=1)
-        twin, _ = restore_engine(path, sharded=True)
+        view = {"version": 3, "energy": reference.energy,
+                "shards_total": 4, "shards_solved": 1}
+        path = save_snapshot(engine, tmp_path, version=3, view=view)
+        meta = json.loads((path / "meta.json").read_text())
+        assert "shard_cache" not in meta
+        meta["shard_cache"] = [
+            [sorted(list(v) for v in engine.plan.variables[:3]),
+             reference.energy, reference.lower_bound, True],
+        ]
+        (path / "meta.json").write_text(json.dumps(meta))
+
+        service = DiversificationService.from_snapshot(
+            ServiceConfig(port=0), path=str(path)
+        )
+        assert service.view.energy == reference.energy
+        assert service.view.version == 3
+        twin, snapshot = restore_engine(path)
+        assert snapshot.view["shards_total"] == 4
+        follow_up = random_churn_trace(
+            engine.network, ChurnConfig(events=3, seed=70)
+        )
+        for event in follow_up:
+            engine.apply(event)
+            twin.apply(event)
+        original = engine.solve()
         restarted = twin.solve()
-        assert restarted.energy == pytest.approx(reference.energy, abs=1e-12)
+        assert restarted.warm == original.warm
+        assert restarted.energy == pytest.approx(original.energy, abs=1e-12)
+        assert restarted.assignment.as_dict() == original.assignment.as_dict()

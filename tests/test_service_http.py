@@ -201,6 +201,29 @@ class TestValidation:
             assert caught.value.status == 400
             assert service._queue.qsize() == 0
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"type": "combination", "kind": "avoid", "host": "h0",
+             "service_m": "s0", "product_j": "s0_p0", "service_n": "s1",
+             "partner": "s1_p0", "add": "false"},
+            {"type": "host_leave", "host": None},
+            {"type": "similarity", "product_a": "s0_p0",
+             "product_b": "s0_p1", "value": True},
+            {"type": "host_join", "host": "h99", "services": [["s0"]]},
+        ],
+    )
+    def test_mistyped_field_is_400_naming_it(self, event):
+        # A string "false", a null name or a boolean similarity used to be
+        # coerced (a rule retirement acknowledged and applied as an add).
+        network, similarity = workload(seed=7)
+        with running_service(network, similarity) as (client, service):
+            with pytest.raises(ServiceError) as caught:
+                client.post_events([event])
+            assert caught.value.status == 400
+            assert "field" in str(caught.value)
+            assert service._queue.qsize() == 0
+
     def test_unroutable_path_is_404(self):
         network, similarity = workload(seed=7)
         with running_service(network, similarity) as (client, _):
@@ -328,13 +351,21 @@ class TestCliWiring:
 
     def test_serve_parser_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--sharded", "--snapshot-dir", "/tmp/x",
+            ["serve", "--port", "0", "--snapshot-dir", "/tmp/x",
              "--snapshot-every", "5", "--restore"]
         )
         assert args.port == 0
-        assert args.sharded
         assert args.snapshot_every == 5
         assert args.restore
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--sharded"], ["stream", "--sharded"],
+         ["trace", "stream", "--monolithic"]],
+    )
+    def test_retired_engine_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestObservability:
@@ -374,26 +405,12 @@ class TestObservability:
             assert 'solver="trws"' in text
             # The boot solve is a cold first solve — counted by reason.
             assert 'repro_escalations_total{reason="first_solve"} 1' in text
-            # Custom buckets replace the defaults in both histograms.
+            # Custom buckets replace the defaults.
             assert 'repro_solve_seconds_bucket{le="0.05"}' in text
             assert 'repro_solve_seconds_bucket{le="0.001"}' not in text
-            assert 'repro_shard_solve_seconds_bucket{le="+Inf"}' in text
-
-    def test_sharded_service_populates_shard_histogram(self):
-        network, similarity = workload(seed=10)
-        trace_events = random_churn_trace(
-            network, ChurnConfig(events=4, seed=10)
-        )
-        config = ServiceConfig(port=0, sharded=True, batch_max=1)
-        with running_service(network, similarity, config) as (client, _):
-            client.send(trace_events)
-            client.wait_idle()
-            text = client.metrics_text()
-            count = [
-                line for line in text.splitlines()
-                if line.startswith("repro_shard_solve_seconds_count")
-            ]
-            assert count and int(count[0].split()[-1]) > 0
+            # One streaming engine: no shard histogram or mode label.
+            assert "shard_solve" not in text
+            assert "sharded=" not in text
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="log_level"):
@@ -418,7 +435,6 @@ class TestObservability:
         args = build_parser().parse_args(["trace", "stream"])
         assert args.workload == "stream"
         assert args.out == "repro-trace.json"
-        assert not args.monolithic
 
 
 class TestClientResilience:
