@@ -379,6 +379,62 @@ class TestDynamicDiversifier:
             DynamicDiversifier(net, table, cost_jump_threshold=-1.0)
 
 
+class TestShardedEngine:
+    """The streaming engine against the batch shard layer: on networks the
+    component partition splits, each warm re-solve lands on the energy of
+    a sharded cold solve (``diversify(shards=-1)``) of the mutated network."""
+
+    @pytest.mark.parametrize("wseed,tseed", [(0, 0), (1, 1), (2, 2)])
+    def test_energy_parity_along_trace(self, wseed, tseed):
+        net, table = workload(seed=wseed)
+        trace = random_churn_trace(net, ChurnConfig(events=8, seed=tseed))
+        engine = DynamicDiversifier(net.copy(), table.copy())
+        initial = engine.solve()
+        assert initial.energy == pytest.approx(
+            diversify(net, table, fast_path=False, shards=-1).energy,
+            abs=1e-9,
+        )
+        check_net, check_table = net.copy(), table.copy()
+        for event in trace:
+            engine.apply(event)
+            result = engine.solve()
+            apply_event(check_net, check_table, event)
+            cold = diversify(check_net, check_table, fast_path=False,
+                             shards=-1)
+            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
+            assert result.energy == pytest.approx(
+                assignment_energy(check_net, check_table, result.assignment),
+                abs=1e-9,
+            )
+
+    def test_cold_rebuild_falls_back(self):
+        net, table = workload(seed=6)
+        engine = DynamicDiversifier(net, table, rebuild_fraction=0.1)
+        engine.solve()
+        for a, b in list(engine.network.links)[:12]:
+            engine.apply(LinkRemove(a, b))
+        result = engine.solve()
+        assert not result.warm
+        assert result.energy == pytest.approx(
+            diversify(net, table, fast_path=False, shards=-1).energy,
+            abs=1e-9,
+        )
+
+    def test_bp_sharded_parity(self):
+        net, table = workload(hosts=16, seed=8)
+        engine = DynamicDiversifier(net.copy(), table.copy(), solver="bp")
+        engine.solve()
+        a, b = engine.network.links[0]
+        engine.apply(LinkRemove(a, b))
+        result = engine.solve()
+        assert result.warm
+        assert result.energy == pytest.approx(
+            assignment_energy(engine.network, engine.similarity,
+                              result.assignment),
+            abs=1e-9,
+        )
+
+
 class TestCorrelatedTraces:
     def test_default_config_unchanged(self):
         # rack_size / vendor_batch of 1 must reproduce the pre-burst

@@ -375,6 +375,25 @@ class TestConstraintParity:
                 abs=1e-9,
             )
 
+    @pytest.mark.parametrize("wseed,tseed", [(0, 0), (2, 2)])
+    def test_sharded_energy_parity_along_trace(self, wseed, tseed):
+        # The same contract against the batch shard layer's cold solve.
+        net, table = workload(seed=wseed)
+        trace = constraint_trace(net, events=10, seed=tseed)
+        engine = DynamicDiversifier(net.copy(), table.copy())
+        engine.solve()
+        check_net, check_table = net.copy(), table.copy()
+        check_cons = ConstraintSet()
+        for event in trace:
+            engine.apply(event)
+            result = engine.solve()
+            apply_event(check_net, check_table, event, check_cons)
+            cold = diversify(
+                check_net, check_table, constraints=check_cons,
+                fast_path=False, shards=-1,
+            )
+            assert result.energy == pytest.approx(cold.energy, abs=1e-9)
+
     def test_bursty_constraint_load_parity(self):
         net, table = workload(seed=4)
         trace = random_churn_trace(
